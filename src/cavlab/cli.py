@@ -16,7 +16,6 @@ import sys
 from typing import Optional
 
 from . import __version__, imitation, qlearn, rsu, world
-from .rng import Rng
 from .rnn import TrainingError
 
 TOOL = "cavlab"
@@ -146,50 +145,26 @@ def _seed_path(path: str, seed: int) -> str:
 
 # --- sim-eval ---
 
-TRACE_HEADER = "run,t,lane,pos,speed,scan0,scan1,scan2,scan3,scan4,scan5,scan6,action,reward,event"
-
-
-def _greedy_trace(road, reward_cfg, table, seed: int, runs: int) -> tuple[str, list]:
-    """Greedy rollouts with first-index tie-break; one CSV row per step."""
-    world_rng = Rng(seed, qlearn.WORLD_STREAM)
-    lines = [TRACE_HEADER]
-    stats = []
-    for run in range(runs):
-        w = world.spawn_world(road, world_rng)
-        steps = 0
-        while True:
-            reading, speeds = world.scan_full(w, road)
-            key = qlearn.encode_state(w.agent.speed, reading, speeds, table.v2v)
-            action = qlearn.greedy_action(table, key)
-            out = world.apply_action(w, action, road)
-            r = world.reward(out.event, action, out.next.agent.speed, out.next.agent.lane, reward_cfg, road)
-            d = reading.dist
-            lines.append(
-                f"{run},{steps},{w.agent.lane},{w.agent.pos},{w.agent.speed},"
-                f"{d[0]},{d[1]},{d[2]},{d[3]},{d[4]},{d[5]},{d[6]},"
-                f"{action.index},{r!r},{out.event.name.lower()}"
-            )
-            steps += 1
-            w = out.next
-            if out.event is not world.Event.ALIVE or steps >= road.max_steps:
-                stats.append((steps, out.event))
-                break
-    return "\n".join(lines) + "\n", stats
+def _run_sim_eval(road, reward_cfg, qtable_path: str, seed: int, runs: int, trace_out: str) -> list:
+    """Greedy rollouts of a saved Q-table; writes the trace CSV, returns (steps, event) per run."""
+    try:
+        with open(qtable_path, "r", encoding="utf-8") as fh:
+            table = qlearn.QTable.from_json(fh.read())
+    except OSError as exc:
+        raise CliError(f"cannot read {qtable_path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"{qtable_path}: invalid Q-table: {exc}") from exc
+    lines = [qlearn.TRACE_HEADER]
+    stats = list(qlearn.run_episodes(road, reward_cfg, table, seed, runs, trace=lines))
+    _write_text(trace_out, "\n".join(lines) + "\n")
+    return stats
 
 
 def cmd_sim_eval(args) -> int:
     doc = _sections(args.config)
     road = _road_config(doc)
     reward_cfg = _reward_config(doc)
-    try:
-        with open(args.qtable, "r", encoding="utf-8") as fh:
-            table = qlearn.QTable.from_json(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read {args.qtable}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(f"{args.qtable}: {exc}") from exc
-    trace, stats = _greedy_trace(road, reward_cfg, table, args.seed, args.runs)
-    _write_text(args.trace_out, trace)
+    stats = _run_sim_eval(road, reward_cfg, args.qtable, args.seed, args.runs, args.trace_out)
     config = {
         "road": vars_dataclass(road),
         "reward": vars_dataclass(reward_cfg),
@@ -198,7 +173,7 @@ def cmd_sim_eval(args) -> int:
         "runs": args.runs,
     }
     _write_manifest(args.trace_out, "sim-eval", config, {"trace": args.trace_out})
-    goals = [s for s, e in stats if e is world.Event.GOAL]
+    goals = [s for s, e in stats if e == world.GOAL]
     print(
         f"runs={len(stats)} goals={len(goals)} "
         f"mean_time_to_goal={sum(goals)/len(goals):.2f}" if goals else f"runs={len(stats)} goals=0"
@@ -380,10 +355,7 @@ def cmd_replay(args) -> int:
     elif sub == "sim-eval":
         road = world.RoadConfig.from_dict(config["road"])
         reward_cfg = world.RewardConfig.from_dict(config["reward"])
-        with open(config["qtable"], "r", encoding="utf-8") as fh:
-            table = qlearn.QTable.from_json(fh.read())
-        trace, _ = _greedy_trace(road, reward_cfg, table, config["seed"], config["runs"])
-        _write_text(out_path("trace"), trace)
+        _run_sim_eval(road, reward_cfg, config["qtable"], config["seed"], config["runs"], out_path("trace"))
     elif sub == "imitate-train":
         ns = argparse.Namespace(
             dataset=config["dataset"],

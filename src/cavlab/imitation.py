@@ -19,6 +19,8 @@ Unknown attributes are ignored, unknown elements rejected.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import zlib
@@ -562,7 +564,10 @@ def evaluate_policy(artifact: PolicyArtifact, samples: Sequence[SequenceSample])
 
 
 def eval_rows_to_csv(rows: Sequence[tuple]) -> str:
-    lines = [EVAL_CSV_HEADER]
-    for sid, t, a_s, p_s, a_a, p_a in rows:
-        lines.append(f"{sid},{t},{a_s!r},{p_s!r},{a_a!r},{p_a!r}")
-    return "\n".join(lines) + "\n"
+    """CSV text of evaluate_policy rows: ids quoted where needed, numbers as repr(float)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(EVAL_CSV_HEADER.split(","))
+    for sid, t, *values in rows:
+        writer.writerow([sid, t, *(repr(float(v)) for v in values)])
+    return buf.getvalue()

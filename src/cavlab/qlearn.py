@@ -1,7 +1,8 @@
 """Tabular Q-learning on the two-lane road.
 
 State keys are tuples: (speed, 7 scanner distances) without V2V, plus 7
-neighbor speeds (sentinel -1 when no vehicle is in range on a ray) with V2V.
+neighbor speeds (sentinel -1, world.NO_VEHICLE, when no vehicle is in range on
+a ray) with V2V.
 The update rule is
 
     sample = r + gamma * max_a' Q(s', a')      (max term 0 on terminal steps)
@@ -16,29 +17,28 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .rng import Rng
 from .world import (
     ACTIONS,
-    ActionPair,
+    ALIVE,
+    GOAL,
     ConfigError,
     Event,
     N_ACTIONS,
+    Road,
     RoadConfig,
     RewardConfig,
-    ScannerReading,
     VehicleState,
     WorldState,
     apply_action,
     reward,
-    scan_full,
+    reward_table,
     spawn_world,
 )
-
-V2V_NONE = -1
 
 WORLD_STREAM = 0
 EXPLORE_STREAM = 1
@@ -48,19 +48,9 @@ StateKey = tuple
 _ZEROS = (0.0,) * N_ACTIONS
 
 
-def encode_state(
-    speed: int,
-    scan: ScannerReading,
-    neighbor_speeds: Optional[tuple] = None,
-    v2v: bool = False,
-) -> StateKey:
-    """Canonical observation key; neighbor speeds are ignored unless v2v."""
-    if not v2v:
-        return (speed, *scan.dist)
-    if neighbor_speeds is None:
-        raise ValueError("v2v encoding requires neighbor speeds")
-    packed = tuple(V2V_NONE if s is None else s for s in neighbor_speeds)
-    return (speed, *scan.dist, *packed)
+def encode_state(speed: int, obs: tuple, v2v: bool = False) -> StateKey:
+    """Canonical observation key from a Road.sense reading; blocker speeds only with v2v."""
+    return (speed,) + (obs if v2v else obs[:7])
 
 
 class QTable:
@@ -71,17 +61,6 @@ class QTable:
     def __init__(self, v2v: bool = False):
         self.entries: dict[StateKey, list[float]] = {}
         self.v2v = v2v
-
-    def values(self, key: StateKey):
-        """Read-only row (shared zeros when unvisited; do not mutate)."""
-        return self.entries.get(key, _ZEROS)
-
-    def row(self, key: StateKey) -> list[float]:
-        row = self.entries.get(key)
-        if row is None:
-            row = [0.0] * N_ACTIONS
-            self.entries[key] = row
-        return row
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -107,48 +86,43 @@ class QTable:
 
 
 def q_update(
-    q: QTable,
+    entries: dict,
     s: StateKey,
-    a: ActionPair,
+    a: int,
     r: float,
     s_next: StateKey,
     terminal: bool,
     alpha: float,
     gamma: float,
 ) -> float:
-    """Apply the update to Q(s, a) and return the new value."""
-    nxt = 0.0 if terminal else max(q.values(s_next))
-    row = q.row(s)
-    idx = a.dir * 3 + a.spd
-    value = (1.0 - alpha) * row[idx] + alpha * (r + gamma * nxt)
-    row[idx] = value
+    """Apply the update to Q(s, a) in QTable.entries and return the new value."""
+    nxt = 0.0 if terminal else max(entries.get(s_next, _ZEROS))
+    row = entries.get(s)
+    if row is None:
+        row = entries[s] = [0.0] * N_ACTIONS
+    value = (1.0 - alpha) * row[a] + alpha * (r + gamma * nxt)
+    row[a] = value
     return value
 
 
-def select_action(q: QTable, s: StateKey, epsilon: float, rng: Rng) -> ActionPair:
-    """Epsilon-greedy with uniform tie-breaking over the argmax set.
+def select_action(entries: dict, s: StateKey, epsilon: float, rng: Optional[Rng]) -> int:
+    """Epsilon-greedy action index over QTable.entries; unvisited rows read 0.
 
-    epsilon == 0 consumes no draw for the explore test, so greedy rollouts
-    leave the stream untouched except on ties.
+    Ties in the argmax set break uniformly with `rng`; with rng None the
+    first index wins (greedy rollouts, epsilon 0). epsilon == 0 consumes no
+    draw for the explore test, so greedy selection leaves the stream
+    untouched except on ties.
     """
     if epsilon > 0.0 and rng.random() < epsilon:
-        return ACTIONS[rng.randrange(N_ACTIONS)]
-    row = q.values(s)
+        return rng.randrange(N_ACTIONS)
+    row = entries.get(s)
+    if row is None:
+        return 0 if rng is None else rng.randrange(N_ACTIONS)
     best = max(row)
+    if rng is None or row.count(best) == 1:
+        return row.index(best)
     ties = [i for i in range(N_ACTIONS) if row[i] == best]
-    if len(ties) == 1:
-        return ACTIONS[ties[0]]
-    return ACTIONS[ties[rng.randrange(len(ties))]]
-
-
-def greedy_action(q: QTable, s: StateKey) -> ActionPair:
-    """Deterministic argmax with first-index tie-break (evaluation traces)."""
-    row = q.values(s)
-    best = max(row)
-    for i in range(N_ACTIONS):
-        if row[i] == best:
-            return ACTIONS[i]
-    raise AssertionError("unreachable")
+    return ties[rng.randrange(len(ties))]
 
 
 @dataclass(frozen=True)
@@ -190,91 +164,84 @@ def epsilon_at(cfg: LearnConfig, episode: int) -> float:
     return cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * f
 
 
-class EpisodeStats(NamedTuple):
-    steps: int
-    terminal: Event
-    quick: bool
-
-
 QUICK_LIMIT = 40  # steps; "quick finish" threshold
 
+TRACE_HEADER = "run,t,lane,pos,speed,scan0,scan1,scan2,scan3,scan4,scan5,scan6,action,reward,event"
+_EVENT_NAMES = tuple(e.name.lower() for e in Event)
 
-def _episode(
+
+def run_episodes(
     road_cfg: RoadConfig,
     reward_cfg: RewardConfig,
     q: QTable,
-    learn_cfg: LearnConfig,
-    world_rng: Rng,
-    explore_rng: Rng,
-    epsilon: float,
-    learn: bool,
-    defer_goal: bool,
-    pending=None,
-):
-    """Shared episode loop; returns (stats, pending goal transition or None).
+    seed: int,
+    episodes: int,
+    learn_cfg: Optional[LearnConfig] = None,
+    trace: Optional[list] = None,
+) -> Iterator[tuple[int, int]]:
+    """The episode loop: spawn, then select/step/reward(/update); yields (steps, event).
 
-    With defer_goal, a learned Goal step is not updated in place: (key, action,
-    r) is handed back and settled at the start of the next episode against its
-    first observation (continuing-drive semantics: the car keeps driving onto a
-    fresh road). Crash/Bump/timeout are always terminal (max term 0).
+    Worlds come from stream 0 of `seed`. With `learn_cfg`, actions are
+    epsilon-greedy on stream 1 with uniform tie-breaking and Q is updated.
+    Learning treats the drive as continuing: a Goal step is updated against
+    the next episode's start observation (the car keeps driving onto a fresh
+    road; the last one is settled as terminal), so finishing does not zero
+    out future value, while Crash/Bump/timeout are terminal (max term 0).
+    Without `learn_cfg`, rollouts are
+    greedy with first-index tie-break, take at least one step, and append one
+    TRACE_HEADER row per step to `trace` when given. A timeout reports Alive.
     """
-    v2v = learn_cfg.v2v
-    alpha, gamma = learn_cfg.alpha, learn_cfg.gamma
-    world = spawn_world(road_cfg, world_rng)
-    max_steps = road_cfg.max_steps
-
-    if max_steps == 0:
-        return EpisodeStats(0, Event.ALIVE, False), pending
-
-    reading, speeds = scan_full(world, road_cfg)
-    key = encode_state(world.agent.speed, reading, speeds, v2v)
+    road = Road(road_cfg)
+    move, sense = road.move, road.sense
+    rewards = reward_table(reward_cfg, road_cfg)
+    entries, v2v = q.entries, q.v2v
+    world_rng = Rng(seed, WORLD_STREAM)
+    if learn_cfg is None:
+        explore_rng, cap = None, max(road_cfg.max_steps, 1)
+    else:
+        explore_rng, cap = Rng(seed, EXPLORE_STREAM), road_cfg.max_steps
+        alpha, gamma = learn_cfg.alpha, learn_cfg.gamma
+    eps = 0.0
+    pending = None  # (key, action, reward) of a Goal step awaiting the next start observation
+    for episode in range(episodes):
+        world = spawn_world(road_cfg, world_rng)
+        if cap == 0:
+            yield 0, ALIVE
+            continue
+        (b0, b1), (lane, pos, speed) = world.lanes, world.agent
+        obs = sense(b0, b1, lane, pos)
+        key = encode_state(speed, obs, v2v)
+        if learn_cfg is not None:
+            eps = epsilon_at(learn_cfg, episode)
+            if pending is not None:
+                q_update(entries, *pending, key, False, alpha, gamma)
+                pending = None
+        steps = 0
+        while True:
+            a = select_action(entries, key, eps, explore_rng)
+            if trace is not None:
+                head = f"{episode},{steps},{lane},{pos},{speed},{','.join(map(str, obs[:7]))},{a}"
+            b0, b1, lane, pos, speed, event = move(b0, b1, lane, pos, speed, a)
+            r = rewards[event][a // 3][speed][lane]
+            steps += 1
+            if trace is not None:
+                trace.append(f"{head},{r!r},{_EVENT_NAMES[event]}")
+            if event == ALIVE and steps < cap:
+                obs = sense(b0, b1, lane, pos)
+                next_key = encode_state(speed, obs, v2v)
+            else:
+                next_key = None  # the episode ends: the update is terminal
+            if learn_cfg is not None:
+                if event == GOAL:
+                    pending = (key, a, r)
+                else:
+                    q_update(entries, key, a, r, next_key, next_key is None, alpha, gamma)
+            if next_key is None:
+                yield steps, event
+                break
+            key = next_key
     if pending is not None:
-        pk, pa, pr = pending
-        q_update(q, pk, pa, pr, key, False, alpha, gamma)
-    steps = 0
-    while True:
-        action = select_action(q, key, epsilon, explore_rng)
-        outcome = apply_action(world, action, road_cfg)
-        steps += 1
-        agent = outcome.next.agent
-        r = reward(outcome.event, action, agent.speed, agent.lane, reward_cfg, road_cfg)
-        done = outcome.event is not Event.ALIVE
-        cut = not done and steps >= max_steps
-        if not done:
-            reading, speeds = scan_full(outcome.next, road_cfg)
-            next_key = encode_state(agent.speed, reading, speeds, v2v)
-        else:
-            next_key = key
-        if learn:
-            if outcome.event is Event.GOAL and defer_goal:
-                return EpisodeStats(steps, Event.GOAL, steps < QUICK_LIMIT), (key, action, r)
-            q_update(q, key, action, r, next_key, done or cut, alpha, gamma)
-        if done:
-            return EpisodeStats(steps, outcome.event, outcome.event is Event.GOAL and steps < QUICK_LIMIT), None
-        if cut:
-            return EpisodeStats(steps, Event.ALIVE, False), None
-        world, key = outcome.next, next_key
-
-
-def run_episode(
-    road_cfg: RoadConfig,
-    reward_cfg: RewardConfig,
-    q: QTable,
-    learn_cfg: LearnConfig,
-    world_rng: Rng,
-    explore_rng: Rng,
-    epsilon: float = 0.0,
-    learn: bool = False,
-) -> EpisodeStats:
-    """One standalone episode: spawn, then select/apply/reward(/update).
-
-    All episode-ending steps (Goal, Crash, Bump, timeout) update with max
-    term 0; timeout reports terminal=Alive in the stats.
-    """
-    stats, _ = _episode(
-        road_cfg, reward_cfg, q, learn_cfg, world_rng, explore_rng, epsilon, learn, defer_goal=False
-    )
-    return stats
+        q_update(entries, *pending, None, True, alpha, gamma)
 
 
 @dataclass(frozen=True)
@@ -293,34 +260,19 @@ def train(
     reward_cfg: RewardConfig,
     learn_cfg: LearnConfig,
 ) -> tuple[QTable, list[MetricsBucket]]:
-    """Run the full schedule and aggregate one MetricsBucket per `bucket` episodes.
-
-    Training treats the drive as continuing: a Goal step is updated against
-    the next episode's start observation (the car keeps driving onto a fresh
-    road) rather than with max term 0, so finishing does not zero out future
-    value. Crash/Bump/timeout stay terminal.
-    """
+    """Run the full schedule and aggregate one MetricsBucket per `bucket` episodes."""
     q = QTable(v2v=learn_cfg.v2v)
-    world_rng = Rng(learn_cfg.seed, WORLD_STREAM)
-    explore_rng = Rng(learn_cfg.seed, EXPLORE_STREAM)
     buckets: list[MetricsBucket] = []
-
     count = goals = goal_steps = crashes = quick = timeouts = 0
-    eps = 0.0
-    pending = None  # goal transition awaiting the next start observation
-    for episode in range(learn_cfg.episodes):
-        eps = epsilon_at(learn_cfg, episode)
-        stats, pending = _episode(
-            road_cfg, reward_cfg, q, learn_cfg, world_rng, explore_rng, eps,
-            learn=True, defer_goal=True, pending=pending,
-        )
+    loop = run_episodes(road_cfg, reward_cfg, q, learn_cfg.seed, learn_cfg.episodes, learn_cfg)
+    for episode, (steps, event) in enumerate(loop):
         count += 1
-        if stats.terminal is Event.GOAL:
+        if event == GOAL:
             goals += 1
-            goal_steps += stats.steps
-            if stats.quick:
+            goal_steps += steps
+            if steps < QUICK_LIMIT:
                 quick += 1
-        elif stats.terminal is Event.ALIVE:
+        elif event == ALIVE:
             timeouts += 1
         else:
             crashes += 1
@@ -333,13 +285,10 @@ def train(
                     crash_rate=crashes / count,
                     quick_rate=quick / count,
                     timeout_rate=timeouts / count,
-                    epsilon=eps,
+                    epsilon=epsilon_at(learn_cfg, episode),
                 )
             )
             count = goals = goal_steps = crashes = quick = timeouts = 0
-    if pending is not None:
-        pk, pa, pr = pending
-        q_update(q, pk, pa, pr, pk, True, learn_cfg.alpha, learn_cfg.gamma)
     return q, buckets
 
 
@@ -383,7 +332,7 @@ def value_iteration_oracle(
     nxt = np.zeros((n, N_ACTIONS), dtype=np.int64)
     term = np.zeros((n, N_ACTIONS), dtype=bool)
     for s, i in index.items():
-        w = WorldState(VehicleState(*s), (), 0)
+        w = WorldState(VehicleState(*s), (0, 0), 0)
         for a in range(N_ACTIONS):
             out = apply_action(w, ACTIONS[a], road_cfg)
             agent = out.next.agent

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -64,6 +65,15 @@ class RsuConfig:
     artifact_path: str = ""
     max_connections: int = 16
     timeout: float = 5.0
+
+    def __post_init__(self):
+        # a cap of 0 would block the accept loop forever on its semaphore
+        if self.max_connections < 1:
+            raise ValueError(f"max_connections must be >= 1, got {self.max_connections}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in 0..65535, got {self.port}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RsuConfig":
@@ -191,11 +201,16 @@ class RsuServer:
 
 
 def serve(cfg: RsuConfig) -> int:
-    """Blocking server run; returns the request count after SIGINT/SIGTERM."""
+    """Blocking server run; returns the request count after SIGINT/SIGTERM.
+
+    Once bound it prints `listening host:port` on stderr, so a port of 0
+    (ephemeral) can be found by clients.
+    """
     import signal
 
     server = RsuServer(cfg)
     server.start()
+    print(f"listening {cfg.host}:{server.port}", file=sys.stderr, flush=True)
     done = threading.Event()
 
     def _sig(_signo, _frame):

@@ -22,6 +22,13 @@ cells before the blocker, capped at scan_range.
 The reward's speed terms apply against `agent_speed_limit` (default: the
 global max agent speed for every lane); `lane_speed_limit` is the constant
 speed of the obstacle traffic per lane.
+
+Because every obstacle in a lane moves at that lane's speed, the obstacles are
+stored as one `length`-bit int per lane (`WorldState.lanes`). Advancing traffic
+is a shift and a mask, the crash check ANDs the agent's lane with the swept
+cells, and each ray reads the lowest or highest set bit on its side of the
+agent. `Road` holds these operations on plain ints for the episode loop;
+`apply_action`, `scan_full` and `scan` are the same operations on WorldState.
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ class VehicleState(NamedTuple):
 
 class WorldState(NamedTuple):
     agent: VehicleState
-    obstacles: tuple[VehicleState, ...]
+    lanes: tuple[int, int]  # one bitboard per lane: bit p set = an obstacle in cell p
     step: int
 
 
@@ -97,7 +104,6 @@ class ScannerReading(NamedTuple):
 class StepOutcome(NamedTuple):
     next: WorldState
     event: Event
-    traversed: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -172,20 +178,16 @@ def spawn_world(cfg: RoadConfig, rng: Rng) -> WorldState:
     cells = cfg.lanes * max(span, 0)
     if cfg.n_obstacles > cells:
         raise SpawnError(f"{cfg.n_obstacles} obstacles do not fit in {cells} spawn cells")
-    agent = VehicleState(0, 0, 1)
-    if cfg.n_obstacles == 0:
-        return WorldState(agent, (), 0)
-    limits = cfg.lane_speed_limit
-    obstacles: list[VehicleState] = []
+    lanes = [0, 0]
     if cfg.n_obstacles * 2 <= cells:
-        taken = set()
-        while len(obstacles) < cfg.n_obstacles:
+        placed = 0
+        while placed < cfg.n_obstacles:
             lane = rng.randrange(cfg.lanes)
-            pos = 4 + rng.randrange(span)
-            if (lane, pos) in taken:
+            bit = 1 << (4 + rng.randrange(span))
+            if lanes[lane] & bit:
                 continue
-            taken.add((lane, pos))
-            obstacles.append(VehicleState(lane, pos, limits[lane]))
+            lanes[lane] |= bit
+            placed += 1
     else:
         # dense spawns: rejection would stall, draw without replacement instead
         candidates = [(lane, pos) for lane in range(cfg.lanes) for pos in range(4, cfg.length)]
@@ -193,54 +195,95 @@ def spawn_world(cfg: RoadConfig, rng: Rng) -> WorldState:
             j = i + rng.randrange(len(candidates) - i)
             candidates[i], candidates[j] = candidates[j], candidates[i]
             lane, pos = candidates[i]
-            obstacles.append(VehicleState(lane, pos, limits[lane]))
-    return WorldState(agent, tuple(obstacles), 0)
+            lanes[lane] |= 1 << pos
+    return WorldState(VehicleState(0, 0, 1), (lanes[0], lanes[1]), 0)
 
 
-def occupancy(world: WorldState) -> dict[tuple[int, int], int]:
-    """(lane, pos) -> obstacle speed for the current world."""
-    return {(o.lane, o.pos): o.speed for o in world.obstacles}
+ALIVE, GOAL, CRASH, BUMP = Event.ALIVE.value, Event.GOAL.value, Event.CRASH.value, Event.BUMP.value
+NO_VEHICLE = -1  # blocker speed of a ray that ends at the wall or at its range
 
 
-def _walk(occ, lane: int, start: int, step: int, rng_cap: int):
-    """Count free cells along one longitudinal ray; return (count, blocker speed or None)."""
-    free = 0
-    pos = start
-    for _ in range(rng_cap):
-        pos += step
-        spd = occ.get((lane, pos))
-        if spd is not None:
-            return free, spd
-        free += 1
-    return free, None
+class Road:
+    """Step and scanner of one RoadConfig, on the two lane bitboards.
+
+    Works on plain ints so an episode loop can call it without building a
+    WorldState per step: `b0`/`b1` are the lane bitboards, the agent is
+    (lane, pos, speed) and the action is its index in ACTIONS.
+    """
+
+    __slots__ = ("length", "full", "s0", "s1", "max_speed", "scan_range")
+
+    def __init__(self, cfg: RoadConfig):
+        self.length = cfg.length
+        self.full = (1 << cfg.length) - 1
+        self.s0, self.s1 = cfg.lane_speed_limit
+        self.max_speed = cfg.max_agent_speed
+        self.scan_range = cfg.scan_range
+
+    def move(self, b0: int, b1: int, lane: int, pos: int, speed: int, a: int) -> tuple:
+        """One step: (b0, b1, lane, pos, speed, event) after action index `a`.
+
+        Obstacles advance first (a shift that also drops those past the road
+        end), then the agent shifts and sweeps. Event precedence Bump > Crash >
+        Goal > Alive; a bump aborts the move (the speed change still applies),
+        and the crash check covers exactly the cells pos+1..pos+new_speed in
+        the post-shift lane against post-move obstacles.
+        """
+        b0 = (b0 << self.s0) & self.full
+        b1 = (b1 << self.s1) & self.full
+        speed += a % 3 - 1
+        if speed < 0:
+            speed = 0
+        elif speed > self.max_speed:
+            speed = self.max_speed
+        new_lane = lane + a // 3 - 1
+        if new_lane < 0 or new_lane > 1:
+            return b0, b1, lane, pos, speed, BUMP
+        if ((b1 if new_lane else b0) >> (pos + 1)) & ((1 << speed) - 1):
+            event = CRASH
+        elif pos + speed >= self.length:
+            event = GOAL
+        else:
+            event = ALIVE
+        return b0, b1, new_lane, pos + speed, speed, event
+
+    def sense(self, b0: int, b1: int, lane: int, pos: int) -> tuple:
+        """The 7 scanner distances then the 7 blocker speeds (NO_VEHICLE for none)."""
+        rng_cap = self.scan_range
+        if lane:
+            own, other, own_spd, other_spd = b1, b0, self.s1, self.s0
+        else:
+            own, other, own_spd, other_spd = b0, b1, self.s0, self.s1
+
+        ahead = own >> (pos + 1)  # bit k: cell pos+1+k
+        front = (ahead & -ahead).bit_length() - 1 if ahead else rng_cap
+        ahead = other >> (pos + 1)
+        diag_f = (ahead & -ahead).bit_length() - 1 if ahead else rng_cap
+        behind = other & ((1 << pos) - 1)  # the nearest blocker is the highest bit
+        diag_r = pos - behind.bit_length() if behind else rng_cap
+        # a blocker beyond the range is not seen
+        front, front_spd = (front, own_spd) if front < rng_cap else (rng_cap, NO_VEHICLE)
+        diag_f, diag_f_spd = (diag_f, other_spd) if diag_f < rng_cap else (rng_cap, NO_VEHICLE)
+        diag_r, diag_r_spd = (diag_r, other_spd) if diag_r < rng_cap else (rng_cap, NO_VEHICLE)
+
+        # the one lateral neighbour is the other lane; the far side is the wall
+        if (other >> pos) & 1:
+            side, side_spd = 0, other_spd
+        else:
+            side, side_spd = 1, NO_VEHICLE
+        if lane:
+            left, right, left_spd, right_spd = side, 0, side_spd, NO_VEHICLE
+        else:
+            left, right, left_spd, right_spd = 0, side, NO_VEHICLE, side_spd
+        return (front, diag_f, diag_f, left, right, diag_r, diag_r,
+                front_spd, diag_f_spd, diag_f_spd, left_spd, right_spd, diag_r_spd, diag_r_spd)
 
 
-def scan_full(world: WorldState, cfg: RoadConfig, occ=None):
+def scan_full(world: WorldState, cfg: RoadConfig):
     """ScannerReading plus per-ray nearest-vehicle speed (None when no vehicle in range)."""
-    if occ is None:
-        occ = occupancy(world)
-    lane, pos, _ = world.agent
-    other = 1 - lane
-    rng_cap = cfg.scan_range
-
-    front, front_spd = _walk(occ, lane, pos, 1, rng_cap)
-    diag_f, diag_f_spd = _walk(occ, other, pos, 1, rng_cap)
-    diag_r, diag_r_spd = _walk(occ, other, pos, -1, rng_cap)
-
-    def lateral(target_lane: int):
-        if target_lane < 0 or target_lane >= cfg.lanes:
-            return 0, None
-        spd = occ.get((target_lane, pos))
-        if spd is not None:
-            return 0, spd
-        return min(1, rng_cap), None  # next lateral cell is the far wall on 2 lanes
-
-    left, left_spd = lateral(lane - 1)
-    right, right_spd = lateral(lane + 1)
-
-    reading = ScannerReading((front, diag_f, diag_f, left, right, diag_r, diag_r))
-    speeds = (front_spd, diag_f_spd, diag_f_spd, left_spd, right_spd, diag_r_spd, diag_r_spd)
-    return reading, speeds
+    obs = Road(cfg).sense(*world.lanes, world.agent.lane, world.agent.pos)
+    speeds = tuple(None if s == NO_VEHICLE else s for s in obs[7:])
+    return ScannerReading(obs[:7]), speeds
 
 
 def scan(world: WorldState, cfg: RoadConfig) -> ScannerReading:
@@ -248,41 +291,10 @@ def scan(world: WorldState, cfg: RoadConfig) -> ScannerReading:
 
 
 def apply_action(world: WorldState, action: ActionPair, cfg: RoadConfig) -> StepOutcome:
-    """One simulation step: obstacles advance, then the agent shifts and sweeps.
-
-    Event precedence Bump > Crash > Goal > Alive; a bump aborts the move (the
-    speed change still applies), and the crash check covers exactly the cells
-    pos+1..pos+new_speed in the post-shift lane against post-move obstacles.
-    """
-    length = cfg.length
-    obstacles = tuple(
-        VehicleState(o.lane, o.pos + o.speed, o.speed)
-        for o in world.obstacles
-        if o.pos + o.speed < length
-    )
-    agent = world.agent
-    speed = agent.speed + (action.spd - 1)
-    if speed < 0:
-        speed = 0
-    elif speed > cfg.max_agent_speed:
-        speed = cfg.max_agent_speed
-
-    lane = agent.lane + (action.dir - 1)
-    if lane < 0 or lane >= cfg.lanes:
-        nxt = WorldState(VehicleState(agent.lane, agent.pos, speed), obstacles, world.step + 1)
-        return StepOutcome(nxt, Event.BUMP, ())
-
-    new_pos = agent.pos + speed
-    traversed = tuple((lane, p) for p in range(agent.pos + 1, new_pos + 1))
-    occ = {(o.lane, o.pos) for o in obstacles}
-    if any(cell in occ for cell in traversed):
-        event = Event.CRASH
-    elif new_pos >= length:
-        event = Event.GOAL
-    else:
-        event = Event.ALIVE
-    nxt = WorldState(VehicleState(lane, new_pos, speed), obstacles, world.step + 1)
-    return StepOutcome(nxt, event, traversed)
+    """One simulation step: Road.move on a WorldState."""
+    b0, b1, lane, pos, speed, event = Road(cfg).move(*world.lanes, *world.agent, action.index)
+    nxt = WorldState(VehicleState(lane, pos, speed), (b0, b1), world.step + 1)
+    return StepOutcome(nxt, Event(event))
 
 
 def reward(
@@ -311,3 +323,18 @@ def reward(
     else:
         r += -reward_cfg.overspeed_factor * agent_speed
     return r
+
+
+def reward_table(reward_cfg: RewardConfig, road_cfg: RoadConfig) -> list:
+    """reward() of every step outcome, indexed [event][dir][speed][lane]."""
+    return [
+        [
+            [
+                [reward(event, ACTIONS[d * 3 + Spd.KEEP], speed, lane, reward_cfg, road_cfg)
+                 for lane in range(road_cfg.lanes)]
+                for speed in range(road_cfg.max_agent_speed + 1)
+            ]
+            for d in Dir
+        ]
+        for event in Event
+    ]

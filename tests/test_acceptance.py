@@ -73,17 +73,17 @@ def goal_weighted_mean(buckets):
 
 class TestA1QUpdateExactness:
     def test_a1(self):
-        q = QTable()
-        q.row("s2")[:] = [1.0] + [0.0] * 8
-        v1 = q_update(q, "s1", ACTIONS[4], 0.1, "s2", False, 0.4, 0.95)
+        q = QTable().entries
+        q["s2"] = [1.0] + [0.0] * 8
+        v1 = q_update(q, "s1", 4, 0.1, "s2", False, 0.4, 0.95)
         e1 = 0.4 * (0.1 + 0.95 * 1.0)
 
-        q.row("sa")[4] = 0.7
-        q_update(q, "sa", ACTIONS[4], 5.0, "s2", False, 0.0, 0.95)
-        v2, e2 = q.values("sa")[4], 0.7
+        q["sa"] = [0.0] * 4 + [0.7] + [0.0] * 4
+        q_update(q, "sa", 4, 5.0, "s2", False, 0.0, 0.95)
+        v2, e2 = q["sa"][4], 0.7
 
-        q.row("sc")[4] = 1.0
-        v3 = q_update(q, "sc", ACTIONS[4], -10.0, "s2", True, 0.4, 0.95)
+        q["sc"] = [0.0] * 4 + [1.0] + [0.0] * 4
+        v3 = q_update(q, "sc", 4, -10.0, "s2", True, 0.4, 0.95)
         e3 = 0.6 * 1.0 + 0.4 * (-10.0)
 
         worst = max(abs(v1 - e1), abs(v2 - e2), abs(v3 - e3))
@@ -111,7 +111,7 @@ class TestA2OracleEquivalence:
         in_ep = 0
         for _ in range(500_000):
             a = rng.randrange(9)
-            w = WorldState(VehicleState(*state), (), 0)
+            w = WorldState(VehicleState(*state), (0, 0), 0)
             out = apply_action(w, ACTIONS[a], road)
             agent = out.next.agent
             r = reward(out.event, ACTIONS[a], agent.speed, agent.lane, rew, road)

@@ -137,6 +137,22 @@ class TestSimEval:
                        "--trace-out", tmp_path / "t.csv")
         assert code == 1
 
+    @pytest.mark.parametrize("damage", ["missing", "not-json", "no-entries"])
+    def test_replay_with_bad_qtable_exit_1(self, tmp_path, small_config, capsys, damage):
+        q = self.make_table(tmp_path, small_config)
+        t = tmp_path / "trace.csv"
+        assert run_cli("sim-eval", "--config", small_config, "--qtable", q,
+                       "--seed", 5, "--runs", 2, "--trace-out", t) == 0
+        if damage == "missing":
+            q.unlink()
+        else:
+            q.write_text("{" if damage == "not-json" else '{"version": 1, "v2v": false}')
+        capsys.readouterr()
+        code = run_cli("replay", "--manifest", tmp_path / "trace.csv.manifest.json",
+                       "--out-dir", tmp_path)
+        assert code == 1
+        assert str(q) in capsys.readouterr().err
+
     def test_trace_replays_through_apply_action(self, tmp_path, small_config):
         q_path = self.make_table(tmp_path, small_config)
         t = tmp_path / "trace.csv"
@@ -328,6 +344,23 @@ class TestRsuCli:
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=10.0) == 0
+
+    def test_serve_reports_ephemeral_port(self, tmp_path, dataset):
+        art = self.make_artifact(tmp_path, dataset)
+        proc = self.spawn_server(self.rsu_config(tmp_path, art, 0))
+        try:
+            line = proc.stderr.readline().decode()
+            host, _, port = line.removeprefix("listening ").strip().rpartition(":")
+            assert line.startswith("listening ") and host == "127.0.0.1" and int(port) > 0
+            fetched = tmp_path / "fetched.json"
+            assert run_cli("rsu-fetch", "--endpoint", f"{host}:{port}", "--id", "car1",
+                           "--x", 50.0, "--y", 0.0, "--out", fetched) == 0
+            assert fetched.read_bytes() == art.read_bytes()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=10.0)
+        assert proc.returncode == 0
+        assert out.decode() == "served=1\n"
 
     def test_fetch_dead_endpoint_exit_1(self, tmp_path):
         code = run_cli("rsu-fetch", "--endpoint", "127.0.0.1:1", "--id", "x",

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -24,7 +26,9 @@ from cavlab.imitation import (
     UnsupportedVersionError,
     artifact_from_doc,
     classify_positive,
+    EVAL_CSV_HEADER,
     encode_features,
+    eval_rows_to_csv,
     evaluate_policy,
     extract_ego_sequences,
     load_artifact,
@@ -441,6 +445,22 @@ class TestEvaluatePolicy:
         assert len(report.rows) == 8
         sid, t, a_s, p_s, a_a, p_a = report.rows[0]
         assert isinstance(sid, str) and t == 0
+
+
+    @pytest.mark.parametrize("sequence_id", ["veh,1#0", 'a"b', "plain#3"])
+    def test_rows_csv_round_trips_ids_and_numbers(self, sequence_id):
+        samples = make_samples(2, T=4)
+        samples[0] = SequenceSample(sequence_id, samples[0].features, samples[0].targets, samples[0].encoder)
+        artifact, _ = train_policy(samples, hidden_dim=4, epochs=1, seed=0)
+        report = evaluate_policy(artifact, samples)
+        parsed = list(csv.reader(io.StringIO(eval_rows_to_csv(report.rows), newline="")))
+        assert parsed[0] == EVAL_CSV_HEADER.split(",")
+        assert len(parsed) == 1 + len(report.rows)
+        for fields, row in zip(parsed[1:], report.rows):
+            assert len(fields) == 6
+            assert fields[0] == row[0] and int(fields[1]) == row[1]
+            assert [float(x) for x in fields[2:]] == [float(x) for x in row[2:]]
+        assert parsed[1][0] == sequence_id
 
 
 class TestArtifactIO:

@@ -5,28 +5,28 @@ import pytest
 from cavlab.rng import Rng
 from cavlab.qlearn import (
     ACTIONS,
-    EXPLORE_STREAM,
     WORLD_STREAM,
-    EpisodeStats,
     LearnConfig,
     QTable,
     encode_state,
     epsilon_at,
-    greedy_action,
     metrics_to_csv,
     q_update,
-    run_episode,
+    run_episodes,
     select_action,
     train,
     value_iteration_oracle,
 )
 from cavlab.world import (
+    ALIVE,
+    GOAL,
+    NO_VEHICLE,
     ActionPair,
     Dir,
     Event,
+    Road,
     RoadConfig,
     RewardConfig,
-    ScannerReading,
     Spd,
     VehicleState,
     WorldState,
@@ -36,72 +36,76 @@ from cavlab.world import (
     spawn_world,
 )
 
+DIST = (5, 5, 5, 0, 1, 5, 5)
+
+
+def obs_with(*speeds):
+    """A Road.sense reading: DIST, then the blocker speeds padded with NO_VEHICLE."""
+    return DIST + speeds + (NO_VEHICLE,) * (7 - len(speeds))
+
 
 class TestEncodeState:
-    READING = ScannerReading((5, 5, 5, 0, 1, 5, 5))
-
     def test_plain_key_has_8_components(self):
-        key = encode_state(1, self.READING, None, v2v=False)
+        key = encode_state(1, obs_with(), v2v=False)
         assert key == (1, 5, 5, 5, 0, 1, 5, 5)
 
     def test_v2v_key_has_15_components_with_sentinels(self):
-        key = encode_state(1, self.READING, (None,) * 7, v2v=True)
+        key = encode_state(1, obs_with(), v2v=True)
         assert len(key) == 15
         assert key[8:] == (-1,) * 7
 
     def test_v2v_distinguishes_neighbor_speeds(self):
-        a = encode_state(1, self.READING, (1, None, None, None, None, None, None), v2v=True)
-        b = encode_state(1, self.READING, (2, None, None, None, None, None, None), v2v=True)
+        a = encode_state(1, obs_with(1), v2v=True)
+        b = encode_state(1, obs_with(2), v2v=True)
         assert a != b
-        off_a = encode_state(1, self.READING, (1, None, None, None, None, None, None), v2v=False)
-        off_b = encode_state(1, self.READING, (2, None, None, None, None, None, None), v2v=False)
+        off_a = encode_state(1, obs_with(1), v2v=False)
+        off_b = encode_state(1, obs_with(2), v2v=False)
         assert off_a == off_b
 
-    def test_v2v_requires_neighbor_speeds(self):
-        with pytest.raises(ValueError):
-            encode_state(1, self.READING, None, v2v=True)
+    def test_key_matches_scan_full(self):
+        # the key carries scan_full's distances, and its speeds with None as the -1 sentinel
+        cfg = RoadConfig()
+        for seed in range(200):
+            w = spawn_world(cfg, Rng(seed))
+            w = WorldState(VehicleState(seed % 2, 20 + seed % 30, 2), w.lanes, 0)
+            reading, speeds = scan_full(w, cfg)
+            key = encode_state(2, Road(cfg).sense(*w.lanes, w.agent.lane, w.agent.pos), v2v=True)
+            assert key == (2, *reading.dist, *(-1 if s is None else s for s in speeds))
 
 
 class TestQUpdate:
     def test_direct_substitution(self):
-        q = QTable()
-        q.row("s2")[:] = [1.0] + [0.0] * 8
-        new = q_update(q, "s1", ACTIONS[4], 0.1, "s2", False, alpha=0.4, gamma=0.95)
+        q = {"s2": [1.0] + [0.0] * 8}
+        new = q_update(q, "s1", 4, 0.1, "s2", False, alpha=0.4, gamma=0.95)
         assert new == pytest.approx(0.4 * (0.1 + 0.95 * 1.0), abs=1e-12)
+        assert q["s1"] == [0.0] * 4 + [new] + [0.0] * 4
 
     def test_alpha_zero_is_identity(self):
-        q = QTable()
-        q.row("s1")[4] = 0.7
+        q = {"s1": [0.0] * 4 + [0.7] + [0.0] * 4}
         for r, nxt in ((5.0, "a"), (-3.0, "b")):
-            q_update(q, "s1", ACTIONS[4], r, nxt, False, alpha=0.0, gamma=0.95)
-            assert q.values("s1")[4] == 0.7
+            q_update(q, "s1", 4, r, nxt, False, alpha=0.0, gamma=0.95)
+            assert q["s1"][4] == 0.7
 
     def test_terminal_max_term_zero(self):
-        q = QTable()
-        q.row("s1")[4] = 1.0
-        q.row("s2")[0] = 99.0  # must be ignored on terminal step
-        new = q_update(q, "s1", ACTIONS[4], -10.0, "s2", True, alpha=0.4, gamma=0.95)
+        q = {"s1": [0.0] * 4 + [1.0] + [0.0] * 4, "s2": [99.0] + [0.0] * 8}  # s2 ignored
+        new = q_update(q, "s1", 4, -10.0, "s2", True, alpha=0.4, gamma=0.95)
         assert new == pytest.approx(0.6 * 1.0 + 0.4 * (-10.0), abs=1e-12)
 
     def test_touches_exactly_one_entry(self):
-        q = QTable()
-        q.row("s1")[:] = [0.5] * 9
-        q.row("s2")[:] = [0.25] * 9
-        before = {k: list(v) for k, v in q.entries.items()}
-        q_update(q, "s1", ACTIONS[3], 1.0, "s2", False, 0.5, 0.9)
-        after = {k: list(v) for k, v in q.entries.items()}
-        assert after["s2"] == before["s2"]
-        diff = [i for i in range(9) if after["s1"][i] != before["s1"][i]]
+        q = {"s1": [0.5] * 9, "s2": [0.25] * 9}
+        before = {k: list(v) for k, v in q.items()}
+        q_update(q, "s1", 3, 1.0, "s2", False, 0.5, 0.9)
+        assert q["s2"] == before["s2"]
+        diff = [i for i in range(9) if q["s1"][i] != before["s1"][i]]
         assert diff == [3]
 
     def test_repeated_updates_converge_geometrically(self):
-        q = QTable()
-        q.row("next")[0] = 2.0
+        q = {"next": [2.0] + [0.0] * 8}
         target = 1.0 + 0.9 * 2.0
         prev_gap = None
         for _ in range(60):
-            q_update(q, "s", ACTIONS[0], 1.0, "next", False, 0.5, 0.9)
-            gap = abs(q.values("s")[0] - target)
+            q_update(q, "s", 0, 1.0, "next", False, 0.5, 0.9)
+            gap = abs(q["s"][0] - target)
             if prev_gap is not None and prev_gap > 1e-14:
                 assert gap == pytest.approx(prev_gap * 0.5, rel=1e-9)
             prev_gap = gap
@@ -110,46 +114,42 @@ class TestQUpdate:
 
 class TestSelectAction:
     def test_pure_exploitation_unique_max(self):
-        q = QTable()
-        q.row("s")[4] = 1.0
+        q = {"s": [0.0] * 4 + [1.0] + [0.0] * 4}
         rng = Rng(0)
-        assert all(select_action(q, "s", 0.0, rng) == ACTIONS[4] for _ in range(50))
+        assert all(select_action(q, "s", 0.0, rng) == 4 for _ in range(50))
 
     def test_epsilon_one_uniform_chi_square(self):
-        q = QTable()
-        q.row("s")[4] = 1.0
+        q = {"s": [0.0] * 4 + [1.0] + [0.0] * 4}
         rng = Rng(123)
         counts = [0] * 9
         n = 100_000
         for _ in range(n):
-            counts[select_action(q, "s", 1.0, rng).index] += 1
+            counts[select_action(q, "s", 1.0, rng)] += 1
         expected = n / 9
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         # 8 dof, p=0.001 critical value (roughly the 3-sigma bar)
         assert chi2 < 26.12
 
     def test_full_tie_breaks_uniformly(self):
-        q = QTable()
+        q = {}
         rng = Rng(5)
         counts = [0] * 9
         for _ in range(9000):
-            counts[select_action(q, "s-unvisited", 0.0, rng).index] += 1
+            counts[select_action(q, "s-unvisited", 0.0, rng)] += 1
         assert min(counts) > 0
         expected = 1000
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 26.12
 
-    def test_greedy_action_first_index_tie_break(self):
-        q = QTable()
-        assert greedy_action(q, "nothing") == ACTIONS[0]
-        q.row("s")[3] = q.row("s")[7] = 2.0
-        assert greedy_action(q, "s") == ACTIONS[3]
+    def test_greedy_first_index_tie_break(self):
+        q = {}
+        assert select_action(q, "nothing", 0.0, None) == 0
+        q["s"] = [0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 2.0, 0.0]
+        assert select_action(q, "s", 0.0, None) == 3
 
     def test_argmax_invariant_under_constant_shift(self):
-        q1, q2 = QTable(), QTable()
         row = [0.3, -1.0, 2.0, 0.0, 2.0, -5.0, 1.0, 2.0, 0.5]
-        q1.row("s")[:] = row
-        q2.row("s")[:] = [v + 100.0 for v in row]
+        q1, q2 = {"s": row}, {"s": [v + 100.0 for v in row]}
         for seed in range(50):
             assert select_action(q1, "s", 0.0, Rng(seed)) == select_action(q2, "s", 0.0, Rng(seed))
 
@@ -167,34 +167,37 @@ class TestEpsilonSchedule:
         assert epsilon_at(cfg, 0) == cfg.epsilon_end
 
 
-class TestRunEpisode:
+class TestRunEpisodes:
     def test_max_steps_zero_ends_immediately(self):
         road = RoadConfig(max_steps=0)
-        stats = run_episode(road, RewardConfig(), QTable(), LearnConfig(seed=0), Rng(0), Rng(1))
-        assert stats == EpisodeStats(0, Event.ALIVE, False)
+        q = QTable()
+        stats = list(run_episodes(road, RewardConfig(), q, 0, 3, LearnConfig(seed=0)))
+        assert stats == [(0, ALIVE)] * 3
+        assert len(q) == 0
 
     def test_deterministic_given_seed(self):
         road = RoadConfig()
-        q = QTable()
-        a = run_episode(road, RewardConfig(), q, LearnConfig(seed=0), Rng(3, 0), Rng(3, 1))
-        b = run_episode(road, RewardConfig(), q, LearnConfig(seed=0), Rng(3, 0), Rng(3, 1))
-        assert a == b
+        runs = []
+        for _ in range(2):
+            q = QTable()
+            stats = list(run_episodes(road, RewardConfig(), q, 3, 50, LearnConfig(seed=3)))
+            trace = []
+            stats += run_episodes(road, RewardConfig(), q, 8, 5, trace=trace)
+            runs.append((stats, q.entries, trace))
+        assert runs[0] == runs[1]
 
-    def test_learning_episode_grows_table_and_greedy_rollout_goals(self):
+    def test_learning_grows_table_and_greedy_rollouts_goal(self):
         road = RoadConfig(length=20, n_obstacles=2, max_steps=60)
         rew = RewardConfig()
         cfg = LearnConfig(episodes=5000, seed=4, epsilon_decay_episodes=1500)
         q = QTable()
-        world_rng, explore_rng = Rng(4, WORLD_STREAM), Rng(4, EXPLORE_STREAM)
-        for ep in range(cfg.episodes):
-            run_episode(road, rew, q, cfg, world_rng, explore_rng, epsilon_at(cfg, ep), learn=True)
+        for _ in run_episodes(road, rew, q, cfg.seed, cfg.episodes, cfg):
+            pass
         assert len(q) > 0
-        goals = sum(
-            run_episode(road, rew, q, cfg, Rng(100 + i, WORLD_STREAM), Rng(100 + i, EXPLORE_STREAM)).terminal
-            is Event.GOAL
-            for i in range(20)
-        )
+        learned = {k: list(v) for k, v in q.entries.items()}
+        goals = sum(event == GOAL for _, event in run_episodes(road, rew, q, 100, 20))
         assert goals >= 10
+        assert q.entries == learned  # greedy rollouts do not learn
 
     def test_greedy_oracle_policy_is_time_optimal_on_empty_road(self):
         # With a uniform speed limit the reward-optimal policy is also
@@ -229,7 +232,7 @@ class TestRunEpisode:
         while True:
             row = q_star[(state.lane, state.pos, state.speed)]
             action = ACTIONS[max(range(9), key=lambda i: row[i])]
-            out = apply_action(WorldState(state, (), 0), action, road)
+            out = apply_action(WorldState(state, (0, 0), 0), action, road)
             steps += 1
             assert out.event in (Event.ALIVE, Event.GOAL)
             if out.event is Event.GOAL:
@@ -284,7 +287,7 @@ class TestValueIterationOracle:
         rows = {s: list(r) for s, r in q1.items()}
         worst = 0.0
         for (lane, pos, speed), row in rows.items():
-            w = WorldState(VehicleState(lane, pos, speed), (), 0)
+            w = WorldState(VehicleState(lane, pos, speed), (0, 0), 0)
             for a in range(9):
                 out = apply_action(w, ACTIONS[a], road)
                 agent = out.next.agent
@@ -361,7 +364,7 @@ class TestQTableSerialization:
     def test_round_trip_full_precision(self):
         q = QTable(v2v=True)
         key = (1, 5, 5, 5, 0, 1, 5, 5, -1, 2, -1, -1, 1, -1, -1)
-        q.row(key)[:] = [0.1 + 0.2, -1.0 / 3.0, 1e-17, 2.5, 0, 0, 0, 0, -12.1]
+        q.entries[key] = [0.1 + 0.2, -1.0 / 3.0, 1e-17, 2.5, 0, 0, 0, 0, -12.1]
         loaded = QTable.from_json(q.to_json())
         assert loaded.v2v is True
         assert loaded.entries == {key: q.entries[key]}

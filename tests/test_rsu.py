@@ -49,6 +49,28 @@ class TestGeofence:
             Geofence(5.0, 5.0, 0.0, 1.0)
 
 
+class TestRsuConfig:
+    @pytest.mark.parametrize("bad", [
+        {"max_connections": 0},
+        {"max_connections": -3},
+        {"timeout": 0.0},
+        {"timeout": -1.0},
+        {"timeout": float("nan")},
+        {"port": -1},
+        {"port": 65536},
+        {"port": 70000},
+    ])
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(ValueError):
+            RsuConfig(**bad)
+        with pytest.raises(ValueError):
+            RsuConfig.from_dict({"geofence": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1}, **bad})
+
+    def test_accepts_edge_values(self):
+        for ok in ({"max_connections": 1}, {"timeout": 1e-3}, {"port": 0}, {"port": 65535}):
+            RsuConfig(**ok)
+
+
 class TestHandleRequest:
     GEO = Geofence(0.0, 100.0, 0.0, 10.0)
 

@@ -22,7 +22,16 @@ from cavlab.world import (
 
 
 def world_with(agent, obstacles=(), step=0):
-    return WorldState(VehicleState(*agent), tuple(VehicleState(*o) for o in obstacles), step)
+    """World with the agent at (lane, pos, speed) and obstacles in the (lane, pos) cells."""
+    lanes = [0, 0]
+    for lane, pos in obstacles:
+        lanes[lane] |= 1 << pos
+    return WorldState(VehicleState(*agent), tuple(lanes), step)
+
+
+def cells(world, cfg=RoadConfig()):
+    """The world's obstacle cells, (lane, pos) in lane-then-position order."""
+    return [(lane, pos) for lane in range(2) for pos in range(cfg.length) if world.lanes[lane] >> pos & 1]
 
 
 class TestActions:
@@ -65,7 +74,7 @@ class TestSpawn:
     def test_no_obstacles(self):
         w = spawn_world(RoadConfig(n_obstacles=0), Rng(1))
         assert w.agent == VehicleState(0, 0, 1)
-        assert w.obstacles == ()
+        assert w.lanes == (0, 0)
         assert w.step == 0
 
     def test_same_seed_same_world(self):
@@ -77,28 +86,27 @@ class TestSpawn:
             spawn_world(RoadConfig(length=6, n_obstacles=5), Rng(0))
 
     def test_spawn_postconditions_many_seeds(self):
-        # distinctness, position window, per-lane obstacle speed
+        # obstacle count, position window, nothing beyond the two lanes' cells
         cfg = RoadConfig()
         for seed in range(10_000):
             w = spawn_world(cfg, Rng(seed))
-            cells = [(o.lane, o.pos) for o in w.obstacles]
-            assert len(cells) == cfg.n_obstacles == len(set(cells))
-            for o in w.obstacles:
-                assert 4 <= o.pos <= cfg.length - 1
-                assert 0 <= o.lane < cfg.lanes
-                assert o.speed == cfg.lane_speed_limit[o.lane]
+            assert len(w.lanes) == cfg.lanes
+            assert len(cells(w, cfg)) == cfg.n_obstacles
+            for lane, pos in cells(w, cfg):
+                assert 4 <= pos <= cfg.length - 1
+            assert all(bits >> cfg.length == 0 for bits in w.lanes)
 
     def test_dense_spawn_still_distinct(self):
         cfg = RoadConfig(length=8, n_obstacles=7)
         for seed in range(300):
             w = spawn_world(cfg, Rng(seed))
-            cells = [(o.lane, o.pos) for o in w.obstacles]
-            assert len(set(cells)) == 7
+            assert len(cells(w, cfg)) == 7
+            assert all(4 <= pos <= 7 for _, pos in cells(w, cfg))
 
 
 def brute_force_scan(world, cfg):
-    """Independent ray walk on an explicit occupancy grid."""
-    occupied = {(o.lane, o.pos) for o in world.obstacles}
+    """Independent ray walk on the unpacked occupancy grid: (distances, blocker speeds)."""
+    occupied = set(cells(world, cfg))
     lane, pos, _ = world.agent
     other = 1 - lane
 
@@ -106,19 +114,20 @@ def brute_force_scan(world, cfg):
         free = 0
         for k in range(1, cfg.scan_range + 1):
             if (ray_lane, pos + step * k) in occupied:
-                break
+                return free, cfg.lane_speed_limit[ray_lane]
             free += 1
-        return free
+        return free, None
 
     def lateral(target):
         if not 0 <= target < cfg.lanes:
-            return 0
-        return 0 if (target, pos) in occupied else 1
+            return 0, None
+        if (target, pos) in occupied:
+            return 0, cfg.lane_speed_limit[target]
+        return 1, None
 
-    front = walk(lane, +1)
-    diag_f = walk(other, +1)
-    diag_r = walk(other, -1)
-    return (front, diag_f, diag_f, lateral(lane - 1), lateral(lane + 1), diag_r, diag_r)
+    rays = [walk(lane, +1), walk(other, +1), walk(other, +1), lateral(lane - 1), lateral(lane + 1),
+            walk(other, -1), walk(other, -1)]
+    return tuple(d for d, _ in rays), tuple(s for _, s in rays)
 
 
 class TestScan:
@@ -129,28 +138,29 @@ class TestScan:
 
     def test_front_obstacle_distance(self):
         cfg = RoadConfig()
-        w = world_with((0, 30, 1), [(0, 32, 1)])
+        w = world_with((0, 30, 1), [(0, 32)])
         assert scan(w, cfg).dist[0] == 1
 
     def test_lateral_occupied_reads_zero(self):
         cfg = RoadConfig()
-        w = world_with((0, 30, 1), [(1, 30, 2)])
+        w = world_with((0, 30, 1), [(1, 30)])
         assert scan(w, cfg).dist[4] == 0
 
-    def test_matches_brute_force_on_random_worlds(self):
-        cfg = RoadConfig()
+    @pytest.mark.parametrize("cfg", [RoadConfig(), RoadConfig(scan_range=9, lane_speed_limit=(3, 1))])
+    def test_matches_brute_force_on_random_worlds(self, cfg):
         rng = Rng(7)
         for seed in range(2000):
             w = spawn_world(cfg, Rng(seed))
             agent = VehicleState(rng.randrange(2), rng.randrange(cfg.length), rng.randrange(4))
-            if (agent.lane, agent.pos) in {(o.lane, o.pos) for o in w.obstacles}:
+            if (agent.lane, agent.pos) in cells(w, cfg):
                 continue
-            w = WorldState(agent, w.obstacles, 0)
-            assert scan(w, cfg).dist == brute_force_scan(w, cfg)
+            w = WorldState(agent, w.lanes, 0)
+            reading, speeds = scan_full(w, cfg)
+            assert (reading.dist, speeds) == brute_force_scan(w, cfg)
 
     def test_neighbor_speeds_match_blockers(self):
         cfg = RoadConfig()
-        w = world_with((0, 30, 1), [(0, 33, 1), (1, 28, 2), (1, 30, 2)])
+        w = world_with((0, 30, 1), [(0, 33), (1, 28), (1, 30)])
         reading, speeds = scan_full(w, cfg)
         assert reading.dist[0] == 2 and speeds[0] == 1     # front blocker in lane 0
         assert reading.dist[5] == 1 and speeds[5] == 2     # rear diag blocker in lane 1
@@ -170,7 +180,14 @@ class TestApplyAction:
         out = apply_action(world_with((0, 10, 1)), ActionPair(Dir.LEFT, Spd.KEEP), cfg)
         assert out.event is Event.BUMP
         assert out.next.agent.pos == 10 and out.next.agent.lane == 0
-        assert out.traversed == ()
+
+    def test_bump_sweeps_no_cell(self):
+        # an obstacle landing on the cell ahead would be a crash for a move; a bump does not move
+        cfg = RoadConfig()
+        out = apply_action(world_with((0, 10, 1), [(0, 10)]), ActionPair(Dir.LEFT, Spd.KEEP), cfg)
+        assert cells(out.next, cfg) == [(0, 11)]
+        assert out.event is Event.BUMP
+        assert out.next.agent == VehicleState(0, 10, 1)
 
     def test_bump_still_updates_speed(self):
         cfg = RoadConfig()
@@ -181,10 +198,24 @@ class TestApplyAction:
     def test_crash_on_swept_cell(self):
         # hand-stepped: obstacle 12->13; agent speed 2->3 sweeps 11,12,13
         cfg = RoadConfig()
-        out = apply_action(world_with((0, 10, 2), [(0, 12, 1)]), ActionPair(Dir.STAY, Spd.INC), cfg)
+        out = apply_action(world_with((0, 10, 2), [(0, 12)]), ActionPair(Dir.STAY, Spd.INC), cfg)
         assert out.next.agent.speed == 3
-        assert out.traversed == ((0, 11), (0, 12), (0, 13))
         assert out.event is Event.CRASH
+
+    @pytest.mark.parametrize("lane_change", [Dir.STAY, Dir.RIGHT])
+    def test_swept_cells_are_exactly_the_new_lane_ahead(self, lane_change):
+        # agent (0, 10) at new speed 3 into lane 0 or 1 sweeps (lane, 11..13) after obstacles move
+        cfg = RoadConfig()
+        lane = lane_change - Dir.STAY
+        action = ActionPair(lane_change, Spd.INC)
+        for landing in range(8, 18):
+            for obstacle_lane in (0, 1):
+                start = landing - cfg.lane_speed_limit[obstacle_lane]
+                w = world_with((0, 10, 2), [(obstacle_lane, start)])
+                out = apply_action(w, action, cfg)
+                swept = obstacle_lane == lane and 11 <= landing <= 13
+                assert out.event is (Event.CRASH if swept else Event.ALIVE), (landing, obstacle_lane)
+                assert out.next.agent == VehicleState(lane, 13, 3)
 
     def test_goal_at_road_end(self):
         cfg = RoadConfig()
@@ -194,9 +225,9 @@ class TestApplyAction:
 
     def test_obstacles_advance_and_despawn(self):
         cfg = RoadConfig()
-        w = world_with((0, 0, 1), [(1, 64, 2), (0, 10, 1)])
+        w = world_with((0, 0, 1), [(1, 64), (0, 10)])
         out = apply_action(w, ActionPair(Dir.STAY, Spd.KEEP), cfg)
-        assert [(o.lane, o.pos) for o in out.next.obstacles] == [(0, 11)]
+        assert cells(out.next, cfg) == [(0, 11)]
 
     def test_speed_clamping(self):
         cfg = RoadConfig()
@@ -222,9 +253,10 @@ class TestApplyAction:
             assert out.next.agent.pos >= w.agent.pos
             if out.event is not Event.BUMP:
                 assert 0 <= out.next.agent.lane < cfg.lanes
-            assert len(out.next.obstacles) <= len(w.obstacles)
-            for o in out.next.obstacles:
-                assert o.speed == cfg.lane_speed_limit[o.lane]
+            # every obstacle moves at its lane's speed and leaves at the road end
+            moved = sorted((lane, pos + cfg.lane_speed_limit[lane]) for lane, pos in cells(w, cfg)
+                           if pos + cfg.lane_speed_limit[lane] < cfg.length)
+            assert cells(out.next, cfg) == moved
             if out.event in (Event.GOAL, Event.CRASH, Event.BUMP):
                 break
             w = out.next
