@@ -11,6 +11,7 @@ from cavlab.imitation import (
     ArtifactError,
     ChecksumMismatchError,
     Classification,
+    EVAL_CSV_HEADER,
     EncoderConfig,
     EncoderMismatchError,
     FcdParseError,
@@ -26,7 +27,6 @@ from cavlab.imitation import (
     UnsupportedVersionError,
     artifact_from_doc,
     classify_positive,
-    EVAL_CSV_HEADER,
     encode_features,
     eval_rows_to_csv,
     evaluate_policy,
@@ -445,7 +445,6 @@ class TestEvaluatePolicy:
         assert len(report.rows) == 8
         sid, t, a_s, p_s, a_a, p_a = report.rows[0]
         assert isinstance(sid, str) and t == 0
-
 
     @pytest.mark.parametrize("sequence_id", ["veh,1#0", 'a"b', "plain#3"])
     def test_rows_csv_round_trips_ids_and_numbers(self, sequence_id):
