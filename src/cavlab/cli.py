@@ -1,19 +1,24 @@
 """Experiment harness: training, evaluation, ingestion, and RSU commands.
 
 Exit codes: 0 success, 1 runtime/IO error, 2 usage error, 3 domain "no result"
-(out-of-zone fetch). Every file-producing run writes a manifest next to its
-primary output; `replay --manifest` re-executes the frozen configuration and
-reproduces the outputs byte for byte.
+(out-of-zone fetch). Each file-producing subcommand resolves its arguments
+into jobs of (config, outputs) and runs each job; every job writes a manifest
+next to its primary output with the config, the outputs and the SHA-256 of
+each input file. `replay --manifest` runs the recorded job again, reproducing
+the outputs byte for byte, and refuses to when an input file has changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import json
 import math
 import os
 import sys
-from typing import Optional
+from dataclasses import asdict
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__, imitation, qlearn, rsu, world
 from .rnn import TrainingError
@@ -30,175 +35,150 @@ class CliError(Exception):
     """Runtime failure reported on stderr with exit code 1."""
 
 
+@contextlib.contextmanager
+def _file_errors(verb: str, path: str):
+    """Report an OSError on `path` as the CliError `cannot <verb> <path>: ...`."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot {verb} {path}: {exc}") from exc
+
+
 def _load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        with _file_errors("read", path), open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_manifest(primary_output: str, subcommand: str, config: dict, outputs: dict) -> None:
-    manifest = {
-        "tool": TOOL,
-        "tool_version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-        "outputs": outputs,
-    }
-    _write_text(primary_output + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _sections(config_path: Optional[str]) -> dict:
-    if not config_path:
-        return {}
-    doc = _load_json(config_path)
     if not isinstance(doc, dict):
-        raise CliError(f"{config_path}: configuration must be a JSON object")
+        raise CliError(f"{path}: expected a JSON object")
     return doc
 
 
-def _road_config(doc: dict) -> world.RoadConfig:
-    return world.RoadConfig.from_dict(doc.get("road", {}))
+def _write_text(path: str, text: str) -> None:
+    with _file_errors("write", path), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
-def _reward_config(doc: dict) -> world.RewardConfig:
-    return world.RewardConfig.from_dict(doc.get("reward", {}))
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with _file_errors("read", path), open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
-# --- sim-train ---
+@contextlib.contextmanager
+def _invalid_config(source: str):
+    """Report a missing key, a wrong type or an out-of-range value as a CliError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{source}: invalid configuration: {exc!r}") from exc
 
-def _resolve_sim_train(args) -> dict:
-    doc = _sections(args.config)
-    road = _road_config(doc)
+
+# --- sim-train / sim-eval ---
+
+def _sim_sections(doc: dict) -> dict:
+    """The road and reward sections of a `--config` document, with every default filled in."""
+    return {
+        "road": asdict(world.RoadConfig.from_dict(doc.get("road", {}))),
+        "reward": asdict(world.RewardConfig.from_dict(doc.get("reward", {}))),
+    }
+
+
+def _resolve_sim_train(args) -> list:
+    doc = _load_json(args.config) if args.config else {}
+    with _invalid_config(args.config):
+        learn = dict(doc.get("learn", {}))
+        if args.episodes is not None:
+            learn["episodes"] = args.episodes
+        if args.v2v:
+            learn["v2v"] = True
+        config = {**_sim_sections(doc), "learn": asdict(qlearn.LearnConfig.from_dict(learn))}
+    with _invalid_config("--seeds"):
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+    jobs = []
+    for seed in seeds:
+        outputs = {"metrics": args.metrics_out, "qtable": args.qtable_out}
+        if args.seeds:  # each seed's files get a .seed<N> suffix
+            outputs = {name: "{0}.seed{2}{1}".format(*os.path.splitext(path), seed) for name, path in outputs.items()}
+        jobs.append(({**config, "learn": {**config["learn"], "seed": seed}}, outputs))
+    return jobs
+
+
+def _run_sim_train(config: dict, outputs: dict) -> None:
+    with _invalid_config("sim-train"):
+        road = world.RoadConfig.from_dict(config["road"])
+        reward = world.RewardConfig.from_dict(config["reward"])
+        learn = qlearn.LearnConfig.from_dict(config["learn"])
     if road.max_steps * road.max_agent_speed < road.length:
         raise CliError(
             f"max_steps={road.max_steps} cannot traverse length={road.length} "
             f"at max speed {road.max_agent_speed}; not a trainable configuration"
         )
-    reward = _reward_config(doc)
-    learn_doc = dict(doc.get("learn", {}))
-    if args.episodes is not None:
-        learn_doc["episodes"] = args.episodes
-    if args.v2v:
-        learn_doc["v2v"] = True
-    learn = qlearn.LearnConfig.from_dict(learn_doc)
-    return {
-        "road": vars_dataclass(road),
-        "reward": vars_dataclass(reward),
-        "learn": vars_dataclass(learn),
-    }
-
-
-def vars_dataclass(cfg) -> dict:
-    from dataclasses import asdict
-
-    d = asdict(cfg)
-    for key, value in list(d.items()):
-        if isinstance(value, tuple):
-            d[key] = list(value)
-    return d
-
-
-def _run_sim_train_one(config: dict, metrics_out: str, qtable_out: str) -> None:
-    road = world.RoadConfig.from_dict(config["road"])
-    reward = world.RewardConfig.from_dict(config["reward"])
-    learn = qlearn.LearnConfig.from_dict(config["learn"])
     table, buckets = qlearn.train(road, reward, learn)
-    _write_text(metrics_out, qlearn.metrics_to_csv(buckets))
-    _write_text(qtable_out, table.to_json() + "\n")
+    _write_text(outputs["metrics"], qlearn.metrics_to_csv(buckets))
+    _write_text(outputs["qtable"], table.to_json() + "\n")
 
 
-def cmd_sim_train(args) -> int:
-    config = _resolve_sim_train(args)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
-    multi = args.seeds is not None
-    for seed in seeds:
-        cfg = json.loads(json.dumps(config))
-        cfg["learn"]["seed"] = seed
-        metrics_out = _seed_path(args.metrics_out, seed) if multi else args.metrics_out
-        qtable_out = _seed_path(args.qtable_out, seed) if multi else args.qtable_out
-        _run_sim_train_one(cfg, metrics_out, qtable_out)
-        _write_manifest(
-            metrics_out,
-            "sim-train",
-            cfg,
-            {"metrics": metrics_out, "qtable": qtable_out},
-        )
-    return EXIT_OK
+def _resolve_sim_eval(args) -> list:
+    doc = _load_json(args.config) if args.config else {}
+    with _invalid_config(args.config):
+        config = _sim_sections(doc)
+    config.update(qtable=args.qtable, seed=args.seed, runs=args.runs)
+    return [(config, {"trace": args.trace_out})]
 
 
-def _seed_path(path: str, seed: int) -> str:
-    root, ext = os.path.splitext(path)
-    return f"{root}.seed{seed}{ext}"
-
-
-# --- sim-eval ---
-
-def _run_sim_eval(road, reward_cfg, qtable_path: str, seed: int, runs: int, trace_out: str) -> list:
-    """Greedy rollouts of a saved Q-table; writes the trace CSV, returns (steps, event) per run."""
+def _run_sim_eval(config: dict, outputs: dict) -> str:
+    """Greedy rollouts of a saved Q-table, with a per-step trace."""
+    with _invalid_config("sim-eval"):
+        road = world.RoadConfig.from_dict(config["road"])
+        reward = world.RewardConfig.from_dict(config["reward"])
+        seed, runs = config["seed"], config["runs"]
+    path = config["qtable"]
     try:
-        with open(qtable_path, "r", encoding="utf-8") as fh:
+        with _file_errors("read", path), open(path, "r", encoding="utf-8") as fh:
             table = qlearn.QTable.from_json(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read {qtable_path}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"{qtable_path}: invalid Q-table: {exc}") from exc
+        raise CliError(f"{path}: invalid Q-table: {exc}") from exc
     lines = [qlearn.TRACE_HEADER]
-    stats = list(qlearn.run_episodes(road, reward_cfg, table, seed, runs, trace=lines))
-    _write_text(trace_out, "\n".join(lines) + "\n")
-    return stats
-
-
-def cmd_sim_eval(args) -> int:
-    doc = _sections(args.config)
-    road = _road_config(doc)
-    reward_cfg = _reward_config(doc)
-    stats = _run_sim_eval(road, reward_cfg, args.qtable, args.seed, args.runs, args.trace_out)
-    config = {
-        "road": vars_dataclass(road),
-        "reward": vars_dataclass(reward_cfg),
-        "qtable": args.qtable,
-        "seed": args.seed,
-        "runs": args.runs,
-    }
-    _write_manifest(args.trace_out, "sim-eval", config, {"trace": args.trace_out})
+    stats = list(qlearn.run_episodes(road, reward, table, seed, runs, trace=lines))
+    _write_text(outputs["trace"], "\n".join(lines) + "\n")
     goals = [s for s, e in stats if e == world.GOAL]
-    print(
-        f"runs={len(stats)} goals={len(goals)} "
-        f"mean_time_to_goal={sum(goals)/len(goals):.2f}" if goals else f"runs={len(stats)} goals=0"
-    )
-    return EXIT_OK
+    mean = f" mean_time_to_goal={sum(goals)/len(goals):.2f}" if goals else ""
+    return f"runs={len(stats)} goals={len(goals)}{mean}"
 
 
 # --- ingest ---
 
-def cmd_ingest(args) -> int:
-    try:
-        with open(args.xml, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.xml}: {exc}") from exc
+def _resolve_ingest(args) -> list:
+    config = {
+        "xml": args.xml,
+        "ego": args.ego,
+        "filter": {name: getattr(args, name)
+                   for name in ("d_min", "zone_x_min", "zone_x_max", "zone_lane_prefix", "t_min", "t_max")},
+        "encoder": {"k": args.neighbors, "v_norm": args.v_norm, "d_norm": args.d_norm},
+    }
+    return [(config, {"dataset": args.out, "report": args.report_out or args.out + ".rejects.json"})]
+
+
+def _run_ingest(config: dict, outputs: dict) -> str:
+    with _invalid_config("ingest"):
+        f = config["filter"]
+        zone = imitation.MergeZone(f["zone_x_min"], f["zone_x_max"], f["zone_lane_prefix"])
+        filt = imitation.FilterConfig(d_min=f["d_min"], merge_zone=zone, t_min=f["t_min"], t_max=f["t_max"])
+        enc = imitation.EncoderConfig(**config["encoder"])
+        ego = config["ego"]
+    xml = config["xml"]
+    with _file_errors("read", xml), open(xml, "rb") as fh:
+        data = fh.read()
     try:
         timesteps = imitation.parse_fcd(data)
     except imitation.FcdParseError as exc:
-        raise CliError(f"{args.xml}: {exc}") from exc
+        raise CliError(f"{xml}: {exc}") from exc
 
-    zone = imitation.MergeZone(args.zone_x_min, args.zone_x_max, args.zone_lane_prefix)
-    filt = imitation.FilterConfig(d_min=args.d_min, merge_zone=zone, t_min=args.t_min, t_max=args.t_max)
-    enc = imitation.EncoderConfig(k=args.neighbors, v_norm=args.v_norm, d_norm=args.d_norm)
-
-    trajectories = imitation.extract_ego_sequences(timesteps, args.ego)
+    trajectories = imitation.extract_ego_sequences(timesteps, ego)
     samples = []
     rejects = []
     counts: dict[str, int] = {}
@@ -209,105 +189,120 @@ def cmd_ingest(args) -> int:
         else:
             rejects.append({"ego_id": traj.ego_id, "index": i, "steps": len(traj), "reason": verdict.reason})
             counts[verdict.reason] = counts.get(verdict.reason, 0) + 1
-    try:
-        imitation.write_dataset(samples, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
-    report_path = args.report_out or args.out + ".rejects.json"
-    _write_text(report_path, json.dumps({"rejected": rejects, "by_reason": counts}, indent=2, sort_keys=True) + "\n")
-
-    config = {
-        "xml": args.xml,
-        "ego": args.ego,
-        "filter": {
-            "d_min": args.d_min,
-            "zone_x_min": args.zone_x_min,
-            "zone_x_max": args.zone_x_max,
-            "zone_lane_prefix": args.zone_lane_prefix,
-            "t_min": args.t_min,
-            "t_max": args.t_max,
-        },
-        "encoder": {"k": args.neighbors, "v_norm": args.v_norm, "d_norm": args.d_norm},
-    }
-    _write_manifest(args.out, "ingest", config, {"dataset": args.out, "report": report_path})
-    print(f"positives={len(samples)} rejected={len(rejects)}")
-    return EXIT_OK
+    with _file_errors("write", outputs["dataset"]):
+        imitation.write_dataset(samples, outputs["dataset"])
+    report = {"rejected": rejects, "by_reason": counts}
+    _write_text(outputs["report"], json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return f"positives={len(samples)} rejected={len(rejects)}"
 
 
 # --- imitate-train / imitate-eval ---
 
-def cmd_imitate_train(args) -> int:
+def _read_samples(path: str) -> list:
     try:
-        samples = imitation.read_dataset(args.dataset)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.dataset}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        with _file_errors("read", path):
+            samples = imitation.read_dataset(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{path}: invalid dataset: {exc}") from exc
     if not samples:
-        raise CliError(f"{args.dataset}: dataset is empty")
+        raise CliError(f"{path}: dataset is empty")
+    return samples
+
+
+def _resolve_imitate_train(args) -> list:
+    names = ("dataset", "split", "hidden", "epochs", "patience", "lr", "seed")
+    return [({name: getattr(args, name) for name in names}, {"artifact": args.artifact_out})]
+
+
+def _run_imitate_train(config: dict, outputs: dict) -> str:
+    with _invalid_config("imitate-train"):
+        settings = {"split_ratio": config["split"], "hidden_dim": config["hidden"], "epochs": config["epochs"],
+                    "patience": config["patience"], "lr": config["lr"], "seed": config["seed"]}
+    samples = _read_samples(config["dataset"])
     try:
-        artifact, history = imitation.train_policy(
-            samples,
-            split_ratio=args.split,
-            hidden_dim=args.hidden,
-            epochs=args.epochs,
-            patience=args.patience,
-            lr=args.lr,
-            seed=args.seed,
-        )
-    except (imitation.InsufficientDataError, imitation.EncoderMismatchError) as exc:
-        raise CliError(str(exc)) from exc
+        artifact, history = imitation.train_policy(samples, **settings)
     except TrainingError as exc:
         raise CliError(f"training failed: {exc}") from exc
-    imitation.save_artifact(artifact, args.artifact_out)
-    config = {
-        "dataset": args.dataset,
-        "split": args.split,
-        "hidden": args.hidden,
-        "epochs": args.epochs,
-        "patience": args.patience,
-        "lr": args.lr,
-        "seed": args.seed,
-    }
-    _write_manifest(args.artifact_out, "imitate-train", config, {"artifact": args.artifact_out})
+    except ValueError as exc:  # a bad setting, too few sequences or mixed encoders
+        raise CliError(str(exc)) from exc
+    with _file_errors("write", outputs["artifact"]):
+        imitation.save_artifact(artifact, outputs["artifact"])
     final_train = history.train_mse[-1] if history.train_mse else math.nan
     final_val = history.val_mse[-1] if history.val_mse else math.nan
-    print(f"epochs_run={len(history.train_mse)} train_mse={final_train:.6g} val_mse={final_val:.6g}")
-    return EXIT_OK
+    return f"epochs_run={len(history.train_mse)} train_mse={final_train:.6g} val_mse={final_val:.6g}"
 
 
-def cmd_imitate_eval(args) -> int:
+def _resolve_imitate_eval(args) -> list:
+    return [({"artifact": args.artifact, "dataset": args.dataset}, {"csv": args.csv_out})]
+
+
+def _run_imitate_eval(config: dict, outputs: dict) -> str:
+    path = config["artifact"]
     try:
-        artifact = imitation.load_artifact(args.artifact)
-    except imitation.ArtifactError as exc:
-        raise CliError(f"{args.artifact}: {exc}") from exc
-    try:
-        samples = imitation.read_dataset(args.dataset)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read {args.dataset}: {exc}") from exc
-    if not samples:
-        raise CliError(f"{args.dataset}: dataset is empty")
+        with _file_errors("read", path):
+            artifact = imitation.load_artifact(path)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    samples = _read_samples(config["dataset"])
     try:
         report = imitation.evaluate_policy(artifact, samples)
     except imitation.EncoderMismatchError as exc:
         raise CliError(f"encoder mismatch: {exc}") from exc
     except imitation.InsufficientDataError as exc:
         raise CliError(str(exc)) from exc
-    _write_text(args.csv_out, imitation.eval_rows_to_csv(report.rows))
-    config = {"artifact": args.artifact, "dataset": args.dataset}
-    _write_manifest(args.csv_out, "imitate-eval", config, {"csv": args.csv_out})
-    print(f"speed_rmse={report.speed_rmse:.6g} angle_rmse={report.angle_rmse:.6g}")
+    _write_text(outputs["csv"], imitation.eval_rows_to_csv(report.rows))
+    return f"speed_rmse={report.speed_rmse:.6g} angle_rmse={report.angle_rmse:.6g}"
+
+
+# --- the table of file-producing subcommands ---
+
+class Pipeline(NamedTuple):
+    resolve: Callable  # args -> [(config, outputs)], one job per output set
+    run: Callable      # (config, outputs) -> summary line for stdout, or None
+    outputs: tuple     # the names in `outputs`; the manifest goes next to the first
+    inputs: tuple = ()  # the config keys that name input files
+
+
+PIPELINES = {
+    "sim-train": Pipeline(_resolve_sim_train, _run_sim_train, ("metrics", "qtable")),
+    "sim-eval": Pipeline(_resolve_sim_eval, _run_sim_eval, ("trace",), ("qtable",)),
+    "ingest": Pipeline(_resolve_ingest, _run_ingest, ("dataset", "report"), ("xml",)),
+    "imitate-train": Pipeline(_resolve_imitate_train, _run_imitate_train, ("artifact",), ("dataset",)),
+    "imitate-eval": Pipeline(_resolve_imitate_eval, _run_imitate_eval, ("csv",), ("artifact", "dataset")),
+}
+
+
+def _execute(subcommand: str, config: dict, outputs: dict, recorded: Optional[dict] = None) -> None:
+    """Run one job, write its manifest and print its summary.
+
+    `recorded` holds the input digests of a manifest being replayed; the job
+    is refused when an input file no longer matches them.
+    """
+    pipeline = PIPELINES[subcommand]
+    inputs = {config[key]: _sha256(config[key]) for key in pipeline.inputs}
+    if recorded is not None:
+        changed = sorted(p for p in inputs.keys() | recorded.keys() if inputs.get(p) != recorded.get(p))
+        if changed:
+            raise CliError(f"input changed since the manifest was written: {', '.join(changed)}")
+    summary = pipeline.run(config, outputs)
+    manifest = {"tool": TOOL, "tool_version": __version__, "subcommand": subcommand,
+                "config": config, "outputs": outputs, "inputs": inputs}
+    _write_text(outputs[pipeline.outputs[0]] + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if summary is not None:
+        print(summary)
+
+
+def cmd_pipeline(args) -> int:
+    for config, outputs in PIPELINES[args.subcommand].resolve(args):
+        _execute(args.subcommand, config, outputs)
     return EXIT_OK
 
 
 # --- rsu-serve / rsu-fetch ---
 
 def cmd_rsu_serve(args) -> int:
-    doc = _load_json(args.config)
-    try:
-        cfg = rsu.RsuConfig.from_dict(doc)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{args.config}: invalid RSU configuration: {exc}") from exc
+    with _invalid_config(args.config):
+        cfg = rsu.RsuConfig.from_dict(_load_json(args.config))
     try:
         served = rsu.serve(cfg)
     except imitation.ArtifactError as exc:
@@ -331,69 +326,33 @@ def cmd_rsu_fetch(args) -> int:
     if artifact is None:
         print("outside geofence: no policy served", file=sys.stderr)
         return EXIT_NONE
-    imitation.save_artifact(artifact, args.out)
+    with _file_errors("write", args.out):
+        imitation.save_artifact(artifact, args.out)
     print(f"artifact written to {args.out}")
     return EXIT_OK
 
 
 # --- replay ---
 
+def _names_files(doc, keys) -> bool:
+    return isinstance(doc, dict) and all(isinstance(doc.get(key), str) for key in keys)
+
+
 def cmd_replay(args) -> int:
     manifest = _load_json(args.manifest)
     sub = manifest.get("subcommand")
-    config = manifest.get("config", {})
-    outputs = manifest.get("outputs", {})
-
-    def out_path(name: str) -> str:
-        path = outputs[name]
-        if args.out_dir:
-            path = os.path.join(args.out_dir, os.path.basename(path))
-        return path
-
-    if sub == "sim-train":
-        _run_sim_train_one(config, out_path("metrics"), out_path("qtable"))
-    elif sub == "sim-eval":
-        road = world.RoadConfig.from_dict(config["road"])
-        reward_cfg = world.RewardConfig.from_dict(config["reward"])
-        _run_sim_eval(road, reward_cfg, config["qtable"], config["seed"], config["runs"], out_path("trace"))
-    elif sub == "imitate-train":
-        ns = argparse.Namespace(
-            dataset=config["dataset"],
-            split=config["split"],
-            hidden=config["hidden"],
-            epochs=config["epochs"],
-            patience=config["patience"],
-            lr=config["lr"],
-            seed=config["seed"],
-            artifact_out=out_path("artifact"),
-        )
-        return cmd_imitate_train(ns)
-    elif sub == "imitate-eval":
-        ns = argparse.Namespace(
-            artifact=config["artifact"], dataset=config["dataset"], csv_out=out_path("csv")
-        )
-        return cmd_imitate_eval(ns)
-    elif sub == "ingest":
-        filt = config["filter"]
-        enc = config["encoder"]
-        ns = argparse.Namespace(
-            xml=config["xml"],
-            ego=config["ego"],
-            d_min=filt["d_min"],
-            zone_x_min=filt["zone_x_min"],
-            zone_x_max=filt["zone_x_max"],
-            zone_lane_prefix=filt["zone_lane_prefix"],
-            t_min=filt["t_min"],
-            t_max=filt["t_max"],
-            neighbors=enc["k"],
-            v_norm=enc["v_norm"],
-            d_norm=enc["d_norm"],
-            out=out_path("dataset"),
-            report_out=out_path("report"),
-        )
-        return cmd_ingest(ns)
-    else:
-        raise CliError(f"manifest subcommand {sub!r} is not replayable")
+    pipeline = PIPELINES.get(sub) if isinstance(sub, str) else None
+    if pipeline is None:
+        raise CliError(f"{args.manifest}: manifest subcommand {sub!r} is not replayable")
+    config, outputs, recorded = manifest.get("config"), manifest.get("outputs"), manifest.get("inputs")
+    if not (_names_files(config, pipeline.inputs) and _names_files(outputs, pipeline.outputs)
+            and isinstance(recorded, (dict, type(None)))):
+        raise CliError(f"{args.manifest}: malformed {sub} manifest: config needs file names under "
+                       f"{list(pipeline.inputs)} and outputs under {list(pipeline.outputs)}")
+    outputs = {name: outputs[name] for name in pipeline.outputs}
+    if args.out_dir:
+        outputs = {name: os.path.join(args.out_dir, os.path.basename(path)) for name, path in outputs.items()}
+    _execute(sub, config, outputs, recorded)
     return EXIT_OK
 
 
@@ -419,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON file with road/reward/learn sections")
     p.add_argument("--metrics-out", required=True)
     p.add_argument("--qtable-out", required=True)
-    p.set_defaults(func=cmd_sim_train)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("sim-eval", help="greedy rollouts from a trained Q-table with per-step trace")
     p.add_argument("--qtable", required=True)
@@ -427,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=_positive_int, default=10)
     p.add_argument("--config", default=None)
     p.add_argument("--trace-out", required=True)
-    p.set_defaults(func=cmd_sim_eval)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("ingest", help="parse an FCD XML log into a training dataset")
     p.add_argument("--xml", required=True)
@@ -443,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-norm", type=float, default=50.0)
     p.add_argument("--out", required=True)
     p.add_argument("--report-out", default=None)
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("imitate-train", help="train the merge policy from a dataset")
     p.add_argument("--dataset", required=True)
@@ -454,13 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--artifact-out", required=True)
-    p.set_defaults(func=cmd_imitate_train)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("imitate-eval", help="evaluate a policy artifact against a dataset")
     p.add_argument("--artifact", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--csv-out", required=True)
-    p.set_defaults(func=cmd_imitate_eval)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("rsu-serve", help="serve the policy artifact to approaching vehicles")
     p.add_argument("--config", required=True, help="JSON RsuConfig (host, port, geofence, artifact_path)")

@@ -272,7 +272,7 @@ class FilterConfig:
     t_max: int = 500
 
     def __post_init__(self):
-        if self.d_min <= 0:
+        if not self.d_min > 0:  # also rejects NaN, which would pass every distance check
             raise ValueError("d_min must be > 0")
         if self.t_min > self.t_max:
             raise ValueError("t_min must be <= t_max")
@@ -310,7 +310,8 @@ class EncoderConfig:
     d_norm: float = 50.0  # m full scale
 
     def __post_init__(self):
-        if self.k < 0 or self.v_norm <= 0 or self.d_norm <= 0:
+        # written to reject NaN scales too, which would make every feature NaN
+        if self.k < 0 or not (self.v_norm > 0 and self.d_norm > 0):
             raise ValueError("invalid encoder configuration")
 
     @property
@@ -500,6 +501,10 @@ def train_policy(
     seed: int = 0,
 ) -> tuple[PolicyArtifact, rnn.LossHistory]:
     """Seeded split by sequence, then rnn.fit; best model wrapped as artifact."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be a finite value > 0, got {lr}")
+    if not 0 < split_ratio < 1:
+        raise ValueError(f"split_ratio must be in (0, 1), got {split_ratio}")
     if len(samples) < 2:
         raise InsufficientDataError("insufficient data: need at least 2 sequences")
     encoder = samples[0].encoder

@@ -16,7 +16,7 @@ visit identical worlds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -34,6 +34,7 @@ from .world import (
     RewardConfig,
     VehicleState,
     WorldState,
+    _checked_fields,
     apply_action,
     reward,
     reward_table,
@@ -149,11 +150,7 @@ class LearnConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LearnConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = set(d) - names
-        if unknown:
-            raise ConfigError(f"unknown LearnConfig keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**_checked_fields(cls, d))
 
 
 def epsilon_at(cfg: LearnConfig, episode: int) -> float:

@@ -26,7 +26,8 @@ from typing import Optional
 
 from .imitation import PolicyArtifact, artifact_from_doc, load_artifact
 
-MAX_LINE = 64 * 1024 * 1024  # guard against unbounded request lines
+MAX_REQUEST = 4 * 1024  # a hello is ~60 bytes; bounds what each connection may buffer
+MAX_LINE = 64 * 1024 * 1024  # guard against unbounded response lines
 
 
 class RsuError(Exception):
@@ -107,7 +108,7 @@ def _read_line(conn: socket.socket) -> bytes:
         size += len(chunk)
         if b"\n" in chunk:
             break
-        if size > MAX_LINE:
+        if size > MAX_REQUEST:
             raise RsuProtocolError("request line too long")
     return b"".join(chunks).split(b"\n", 1)[0]
 
@@ -177,12 +178,14 @@ class RsuServer:
                 out = self._payload  # byte-identical across requests
             else:
                 out = (json.dumps(response) + "\n").encode("utf-8")
+            # count before sending: a client may read the response and check the count at once
+            with self._count_lock:
+                self.requests_served += 1
             try:
                 conn.sendall(out)
             except OSError:
-                return
-            with self._count_lock:
-                self.requests_served += 1
+                with self._count_lock:
+                    self.requests_served -= 1
         finally:
             try:
                 conn.close()

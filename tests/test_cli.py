@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -11,6 +12,7 @@ import pytest
 from cavlab.cli import main
 from cavlab.imitation import load_artifact, read_dataset
 from cavlab.qlearn import QTable, encode_state
+from cavlab.rsu import Geofence, RsuConfig, RsuServer
 from cavlab.rng import Rng
 from cavlab.world import (
     ACTIONS,
@@ -271,6 +273,156 @@ class TestImitate:
                        "--out-dir", out_dir)
         assert code == 0
         assert (out_dir / "policy.json").read_bytes() == art.read_bytes()
+
+
+# subcommand -> (primary output, outputs), as `recorded` writes them
+RECORDED = {
+    "sim-train": ("m.csv", ("m.csv", "q.json")),
+    "sim-eval": ("t.csv", ("t.csv",)),
+    "ingest": ("data.jsonl", ("data.jsonl", "data.jsonl.rejects.json")),
+    "imitate-train": ("p.json", ("p.json",)),
+    "imitate-eval": ("e.csv", ("e.csv",)),
+}
+
+
+@pytest.fixture()
+def recorded(capsys, tmp_path, small_config, dataset):
+    """Runs every subcommand that writes a manifest once; returns the stdout of each."""
+    q, p = tmp_path / "q.json", tmp_path / "p.json"
+    stdout = {"ingest": capsys.readouterr().out}
+    for argv in (
+        ["sim-train", "--config", small_config, "--seed", 3, "--metrics-out", tmp_path / "m.csv", "--qtable-out", q],
+        ["sim-eval", "--config", small_config, "--qtable", q, "--seed", 5, "--runs", 3,
+         "--trace-out", tmp_path / "t.csv"],
+        ["imitate-train", "--dataset", dataset, "--epochs", 5, "--hidden", 4, "--seed", 1, "--artifact-out", p],
+        ["imitate-eval", "--artifact", p, "--dataset", dataset, "--csv-out", tmp_path / "e.csv"],
+    ):
+        assert run_cli(*argv) == 0
+        stdout[argv[0]] = capsys.readouterr().out
+    return stdout
+
+
+class TestReplay:
+    def replay(self, tmp_path, sub):
+        out_dir = tmp_path / "replay"
+        out_dir.mkdir()
+        return run_cli("replay", "--manifest", tmp_path / f"{RECORDED[sub][0]}.manifest.json",
+                       "--out-dir", out_dir), out_dir
+
+    @pytest.mark.parametrize("sub", sorted(RECORDED))
+    def test_byte_identical_with_manifest_and_summary(self, tmp_path, recorded, capsys, sub):
+        code, out_dir = self.replay(tmp_path, sub)
+        assert code == 0
+        assert capsys.readouterr().out == recorded[sub]
+        primary, outputs = RECORDED[sub]
+        for name in outputs:
+            assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+        original = json.loads((tmp_path / f"{primary}.manifest.json").read_text())
+        replayed = json.loads((out_dir / f"{primary}.manifest.json").read_text())
+        assert replayed["config"] == original["config"]
+        assert replayed["inputs"] == original["inputs"]
+        assert replayed["outputs"] == {k: str(out_dir / os.path.basename(v)) for k, v in original["outputs"].items()}
+
+    def test_inputs_are_hashed(self, tmp_path, recorded):
+        manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+        assert sorted(manifest["inputs"]) == [str(tmp_path / "data.jsonl"), str(tmp_path / "p.json")]
+        assert manifest["inputs"][str(tmp_path / "p.json")] == hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest()
+
+    def test_refuses_changed_input(self, tmp_path, recorded, capsys):
+        with open(tmp_path / "log.xml", "ab") as fh:
+            fh.write(b" ")
+        capsys.readouterr()
+        code, out_dir = self.replay(tmp_path, "ingest")
+        assert code == 1
+        assert str(tmp_path / "log.xml") in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_manifest_without_inputs_still_replays(self, tmp_path, recorded):
+        path = tmp_path / "e.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["inputs"]
+        path.write_text(json.dumps(manifest))
+        code, out_dir = self.replay(tmp_path, "imitate-eval")
+        assert code == 0
+        assert (out_dir / "e.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["json-list", "unknown-subcommand", "ingest-empty-config",
+                                        "ingest-no-filter", "sim-train-no-outputs", "inputs-not-object"])
+    def test_malformed_manifest_exit_1(self, tmp_path, recorded, capsys, damage):
+        path = tmp_path / "m.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        ingest = json.loads((tmp_path / "data.jsonl.manifest.json").read_text())
+        if damage == "json-list":
+            manifest = [manifest]
+        elif damage == "unknown-subcommand":
+            manifest["subcommand"] = "frobnicate"
+        elif damage == "ingest-empty-config":
+            manifest = {"subcommand": "ingest", "config": {}}
+        elif damage == "ingest-no-filter":
+            del ingest["config"]["filter"]
+            manifest = ingest
+        elif damage == "sim-train-no-outputs":
+            del manifest["outputs"]
+        else:
+            manifest["inputs"] = []
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("replay", "--manifest", path, "--out-dir", tmp_path) == 1
+        assert "cavlab: error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """Input files for TestBadInput and an RSU serving a small artifact in its geofence."""
+    root = tmp_path_factory.mktemp("bad")
+    (root / "log.xml").write_text(merge_log(3, seed=11))
+    dataset = root / "data.jsonl"
+    assert run_cli("ingest", "--xml", root / "log.xml", "--ego", "ego*", "--zone-x-min", ZONE[0],
+                   "--zone-x-max", ZONE[1], "--zone-lane-prefix", ZONE[2], "--out", dataset) == 0
+    assert run_cli("imitate-train", "--dataset", dataset, "--epochs", 1, "--hidden", 4,
+                   "--artifact-out", root / "p.json") == 0
+    for name, doc in (("road-int", {"road": 5}), ("road-str", {"road": {"length": "20"}}),
+                      ("learn-key", {"learn": {"episode": 10}})):
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    server = RsuServer(RsuConfig(geofence=Geofence(0.0, 200.0, -10.0, 10.0)),
+                       artifact_doc=load_artifact(root / "p.json").to_doc())
+    server.start()
+    yield {"root": root, "endpoint": f"127.0.0.1:{server.port}"}
+    server.stop()
+
+
+class TestBadInput:
+    SIM = ["sim-train", "--episodes", 10, "--metrics-out", "{out}/m.csv", "--qtable-out", "{out}/q.json"]
+    INGEST = ["ingest", "--xml", "{root}/log.xml", "--ego", "ego*", "--out", "{out}/d.jsonl"]
+    TRAIN = ["imitate-train", "--dataset", "{root}/data.jsonl", "--epochs", 1, "--hidden", 4]
+
+    @pytest.mark.parametrize("argv", [
+        INGEST + ["--d-min", 0],
+        INGEST + ["--d-min", "nan"],
+        INGEST + ["--neighbors", -1],
+        INGEST + ["--v-norm", "nan"],
+        INGEST + ["--t-min", 20, "--t-max", 10],
+        TRAIN[:-1] + [0, "--artifact-out", "{out}/p.json"],
+        TRAIN + ["--lr", -1, "--artifact-out", "{out}/p.json"],
+        TRAIN + ["--lr", "nan", "--artifact-out", "{out}/p.json"],
+        TRAIN + ["--split", 1.5, "--artifact-out", "{out}/p.json"],
+        TRAIN + ["--artifact-out", "{out}/nodir/p.json"],
+        SIM + ["--config", "{root}/road-int.json"],
+        SIM + ["--config", "{root}/road-str.json"],
+        SIM + ["--config", "{root}/learn-key.json"],
+        SIM + ["--seeds", "1,x"],
+        ["imitate-eval", "--artifact", "{root}/missing.json", "--dataset", "{root}/data.jsonl",
+         "--csv-out", "{out}/e.csv"],
+        ["rsu-fetch", "--endpoint", "{endpoint}", "--id", "car1", "--x", 50.0, "--y", 0.0,
+         "--out", "{out}/nodir/fetched.json"],
+    ], ids=["d-min-0", "d-min-nan", "neighbors-neg", "v-norm-nan", "t-min-gt-t-max", "hidden-0", "lr-neg", "lr-nan", "split-1.5",
+            "artifact-out-no-dir", "config-road-int", "config-road-str", "config-learn-key", "seeds-not-int",
+            "artifact-missing", "fetch-out-no-dir"])
+    def test_exit_1_with_message(self, workspace, tmp_path, capsys, argv):
+        capsys.readouterr()
+        assert run_cli(*(str(a).format(out=tmp_path, **workspace) for a in argv)) == 1
+        assert "cavlab: error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # rejected before any output
 
 
 def free_port():

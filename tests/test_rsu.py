@@ -139,6 +139,15 @@ class TestServeFetch:
         msg = json.loads(data)
         assert msg["type"] == "error" and msg["code"] == "bad_request"
 
+    def test_oversized_request_line_closed(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=2.0) as conn:
+            try:
+                conn.sendall(b"x" * 65536)  # no newline
+                assert conn.recv(1) == b""
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # closed while the client was still sending
+        assert fetch("127.0.0.1", server.port, "car1", 50.0, 5.0) is not None
+
     def test_corrupted_payload_fails_checksum(self, artifact_doc):
         bad = json.loads(json.dumps(artifact_doc))
         bad["params"]["by"][0] += 1.0
