@@ -68,6 +68,14 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _check_types(config: dict, types: dict) -> None:
+    """Raise TypeError for a setting of the wrong type: a bool is no int, an int is a float."""
+    for key, kind in types.items():
+        value = config[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+
+
 @contextlib.contextmanager
 def _invalid_config(source: str):
     """Report a missing key, a wrong type or an out-of-range value as a CliError."""
@@ -135,6 +143,7 @@ def _run_sim_eval(config: dict, outputs: dict) -> str:
     with _invalid_config("sim-eval"):
         road = world.RoadConfig.from_dict(config["road"])
         reward = world.RewardConfig.from_dict(config["reward"])
+        _check_types(config, {"seed": int, "runs": int})
         seed, runs = config["seed"], config["runs"]
     path = config["qtable"]
     try:
@@ -169,12 +178,12 @@ def _run_ingest(config: dict, outputs: dict) -> str:
         zone = imitation.MergeZone(f["zone_x_min"], f["zone_x_max"], f["zone_lane_prefix"])
         filt = imitation.FilterConfig(d_min=f["d_min"], merge_zone=zone, t_min=f["t_min"], t_max=f["t_max"])
         enc = imitation.EncoderConfig(**config["encoder"])
+        _check_types(config, {"ego": str})
         ego = config["ego"]
     xml = config["xml"]
-    with _file_errors("read", xml), open(xml, "rb") as fh:
-        data = fh.read()
     try:
-        timesteps = imitation.parse_fcd(data)
+        with _file_errors("read", xml), open(xml, "rb") as fh:
+            timesteps = imitation.parse_fcd(fh)
     except imitation.FcdParseError as exc:
         raise CliError(f"{xml}: {exc}") from exc
 
@@ -216,6 +225,7 @@ def _resolve_imitate_train(args) -> list:
 
 def _run_imitate_train(config: dict, outputs: dict) -> str:
     with _invalid_config("imitate-train"):
+        _check_types(config, {"split": float, "hidden": int, "epochs": int, "patience": int, "lr": float, "seed": int})
         settings = {"split_ratio": config["split"], "hidden_dim": config["hidden"], "epochs": config["epochs"],
                     "patience": config["patience"], "lr": config["lr"], "seed": config["seed"]}
     samples = _read_samples(config["dataset"])

@@ -20,13 +20,13 @@ Unknown attributes are ignored, unknown elements rejected.
 from __future__ import annotations
 
 import csv
+import fnmatch
 import io
 import json
 import math
 import zlib
 from dataclasses import dataclass
-from fnmatch import fnmatch
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 from xml.parsers import expat
 from xml.sax.saxutils import quoteattr
 
@@ -93,9 +93,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-_REQUIRED_VEHICLE_ATTRS = ("id", "x", "y", "speed", "angle")
 
 
 class _FcdHandler:
@@ -168,20 +165,21 @@ class _FcdHandler:
 
 
 def parse_fcd(data) -> list[Timestep]:
-    """Parse an FCD document (str or bytes) into timesteps.
+    """Parse an FCD document (str, bytes or a binary file, which is streamed)
+    into timesteps.
 
     Any malformed XML or grammar violation raises FcdParseError with the
     offending location.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    if not hasattr(data, "read"):
+        data = io.BytesIO(data.encode("utf-8") if isinstance(data, str) else data)
     parser = expat.ParserCreate(encoding="utf-8")
     handler = _FcdHandler(parser)
     parser.StartElementHandler = handler.start
     parser.EndElementHandler = handler.end
     parser.CharacterDataHandler = handler.chars
     try:
-        parser.Parse(data, True)
+        parser.ParseFile(data)
     except expat.ExpatError as exc:
         raise FcdParseError(
             f"malformed XML: {expat.errors.messages[exc.code]}", exc.lineno, exc.offset
@@ -214,40 +212,41 @@ def extract_ego_sequences(
 
     ego_selector is a glob pattern on vehicle id or a predicate Snapshot->bool;
     window optionally restricts to times in [t0, t1] before extraction.
-    A vehicle that vanishes and reappears yields separate trajectories.
+    A vehicle that vanishes and reappears yields separate trajectories, in
+    order of first selection, then of time. A predicate is tried on each
+    snapshot until it first holds; the trajectories cover the whole presence.
+    Vehicle ids are unique within a timestep, as parse_fcd enforces.
     """
-    if callable(ego_selector):
-        select: Callable[[Snapshot], bool] = ego_selector
-    else:
-        select = lambda snap: fnmatch(snap.vehicle_id, ego_selector)
-
     if window is not None:
         t0, t1 = window
         timesteps = [ts for ts in timesteps if t0 <= ts.time <= t1]
 
-    ego_ids: list[str] = []
-    seen: set[str] = set()
-    for ts in timesteps:
-        for snap in ts.snapshots:
-            if snap.vehicle_id not in seen and select(snap):
-                seen.add(snap.vehicle_id)
-                ego_ids.append(snap.vehicle_id)
-
-    trajectories: list[Trajectory] = []
-    for ego_id in ego_ids:
-        run: list[TrajectoryStep] = []
+    if callable(ego_selector):
+        chosen: dict[str, None] = {}  # ids in order of first selection
         for ts in timesteps:
-            ego = next((s for s in ts.snapshots if s.vehicle_id == ego_id), None)
-            if ego is None:
-                if run:
-                    trajectories.append(Trajectory(ego_id, tuple(run)))
-                    run = []
-                continue
-            neighbors = tuple(s for s in ts.snapshots if s.vehicle_id != ego_id)
-            run.append(TrajectoryStep(ts.time, ego, neighbors))
-        if run:
-            trajectories.append(Trajectory(ego_id, tuple(run)))
-    return trajectories
+            for snap in ts.snapshots:
+                if snap.vehicle_id not in chosen and ego_selector(snap):
+                    chosen[snap.vehicle_id] = None
+        ego_ids = list(chosen)
+    else:  # a glob reads only the id: test each id once, in order of first appearance
+        ids = dict.fromkeys(snap.vehicle_id for ts in timesteps for snap in ts.snapshots)
+        ego_ids = fnmatch.filter(ids, ego_selector)
+
+    runs: dict[str, list[Trajectory]] = {vid: [] for vid in ego_ids}
+    open_runs: dict[str, list[TrajectoryStep]] = {}
+    for ts in timesteps:
+        snaps = ts.snapshots
+        present = set()
+        for i, snap in enumerate(snaps):
+            vid = snap.vehicle_id
+            if vid in runs:
+                present.add(vid)
+                open_runs.setdefault(vid, []).append(TrajectoryStep(ts.time, snap, snaps[:i] + snaps[i + 1:]))
+        for vid in [vid for vid in open_runs if vid not in present]:
+            runs[vid].append(Trajectory(vid, tuple(open_runs.pop(vid))))
+    for vid, steps in open_runs.items():
+        runs[vid].append(Trajectory(vid, tuple(steps)))
+    return [traj for vid in ego_ids for traj in runs[vid]]
 
 
 @dataclass(frozen=True)
@@ -289,10 +288,12 @@ def classify_positive(traj: Trajectory, cfg: FilterConfig) -> Classification:
     The reason names the first failed clause: near-collision, merge-incomplete,
     too-short or too-long.
     """
+    reach = 2 * cfg.d_min  # |dx| >= reach puts the distance, even rounded, past d_min
     for step in traj.steps:
         ex, ey = step.ego.x, step.ego.y
         for n in step.neighbors:
-            if math.hypot(ex - n.x, ey - n.y) < cfg.d_min:
+            dx = ex - n.x
+            if abs(dx) < reach and math.hypot(dx, ey - n.y) < cfg.d_min:
                 return Classification(False, "near-collision")
     if not traj.steps or not cfg.merge_zone.contains(traj.steps[-1].ego):
         return Classification(False, "merge-incomplete")

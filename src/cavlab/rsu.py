@@ -159,7 +159,10 @@ class RsuServer:
                 continue
             except OSError:
                 break
-            self._slots.acquire()
+            while not self._slots.acquire(timeout=0.2):  # every slot held: keep watching for stop()
+                if self._stop.is_set():
+                    conn.close()
+                    return
             threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
 
     def _handle(self, conn: socket.socket) -> None:

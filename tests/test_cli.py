@@ -212,6 +212,17 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("body, message", [
+        ("<fcd-export><timestep time='0'", "malformed XML: unclosed token (line 1, column 12)"),
+        ("<fcd-export>\n<timestep time='0'>\n<vehicle id='v' x='1' y='1' speed='-2' angle='0'/>\n</timestep>\n"
+         "</fcd-export>\n", "negative speed -2.0 for vehicle 'v' (line 3, column 0)"),
+    ], ids=["malformed", "negative-speed"])
+    def test_bad_log_error_text(self, tmp_path, capsys, body, message):
+        xml = tmp_path / "bad.xml"
+        xml.write_text(body)
+        assert run_cli("ingest", "--xml", xml, "--ego", "ego*", "--out", tmp_path / "d.jsonl") == 1
+        assert capsys.readouterr().err == f"cavlab: error: {xml}: {message}\n"
+
 
 @pytest.fixture()
 def dataset(tmp_path):
@@ -369,6 +380,30 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli("replay", "--manifest", path, "--out-dir", tmp_path) == 1
         assert "cavlab: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, key, value", [
+        ("sim-eval", "runs", "3"),
+        ("sim-eval", "seed", True),
+        ("imitate-train", "epochs", "3"),
+        ("imitate-train", "hidden", 4.0),
+        ("imitate-train", "patience", False),
+        ("imitate-train", "seed", "1"),
+        ("imitate-train", "split", "0.8"),
+        ("imitate-train", "lr", None),
+        ("ingest", "ego", 5),
+    ], ids=["sim-eval-runs", "sim-eval-seed", "epochs", "hidden", "patience", "imitate-train-seed", "split",
+            "lr", "ego"])
+    def test_wrong_setting_type_exit_1(self, tmp_path, recorded, capsys, sub, key, value):
+        path = tmp_path / f"{RECORDED[sub][0]}.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"][key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code, out_dir = self.replay(tmp_path, sub)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cavlab: error:") and f"{key} must be" in err
+        assert list(out_dir.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import re
+from fnmatch import fnmatch
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from cavlab.imitation import (
     write_dataset,
 )
 from cavlab.rng import Rng
+from merge_fixture import merge_log
 
 
 def fcd(body: str) -> str:
@@ -112,6 +115,49 @@ class TestParseFcd:
         assert err.value.line >= 1
         assert err.value.column >= 0
 
+    @staticmethod
+    def damaged(kind: str) -> bytes:
+        """A merge log broken two thirds of the way in, well past the parser's first read."""
+        lines = merge_log(3, seed=11).encode("utf-8").split(b"\n")
+        at = next(i for i in range(len(lines) * 2 // 3, len(lines)) if b"<vehicle " in lines[i])
+        if kind == "truncated":
+            return b"\n".join(lines[:at]) + b"\n" + lines[at][:20]
+        if kind == "mismatched-tag":
+            end = next(i for i in range(at, len(lines)) if b"</timestep>" in lines[i])
+            lines[end] = lines[end].replace(b"</timestep>", b"</timestap>")
+        elif kind == "duplicate-id":
+            lines.insert(at + 1, lines[at])
+        else:
+            lines[at] = re.sub(rb'speed="[^"]*"', b'speed="-1.0"', lines[at])
+        return b"\n".join(lines)
+
+    def test_file_input_equals_bytes(self, tmp_path):
+        data = merge_log(4, seed=7, n_near_collision=1, n_stop_short=1).encode("utf-8")
+        path = tmp_path / "log.xml"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            from_file = parse_fcd(fh)
+        assert from_file == parse_fcd(data) == parse_fcd(data.decode("utf-8"))
+        assert len(from_file) == 6 * 40
+
+    @pytest.mark.parametrize("kind, fragment", [
+        ("truncated", "malformed XML"),
+        ("mismatched-tag", "malformed XML"),
+        ("duplicate-id", "duplicate vehicle id"),
+        ("negative-speed", "negative speed -1.0"),
+    ])
+    def test_file_errors_match_bytes_errors(self, tmp_path, kind, fragment):
+        data = self.damaged(kind)
+        path = tmp_path / "bad.xml"
+        path.write_bytes(data)
+        with pytest.raises(FcdParseError, match=fragment) as from_bytes:
+            parse_fcd(data)
+        with open(path, "rb") as fh, pytest.raises(FcdParseError) as from_file:
+            parse_fcd(fh)
+        got = (from_file.value.reason, from_file.value.line, from_file.value.column)
+        assert got == (from_bytes.value.reason, from_bytes.value.line, from_bytes.value.column)
+        assert from_bytes.value.line > 100
+
     def test_round_trip_identity(self):
         doc = fcd(
             '<timestep time="0.5">' + vehicle("a", 1.25, -3.5, 7.75, 12.5, "m_0") + vehicle("b") + "</timestep>"
@@ -129,6 +175,31 @@ def traj(ego_points, neighbors=(), ego_id="ego", lane=None):
         nb = tuple(neighbors[t]) if t < len(neighbors) else ()
         steps.append(TrajectoryStep(float(t), Snapshot(ego_id, x, y, speed, angle, lane), nb))
     return Trajectory(ego_id, tuple(steps))
+
+
+def extract_by_rescan(timesteps, ego_selector):
+    """Reference extraction: rescan every timestep for each selected ego."""
+    select = ego_selector if callable(ego_selector) else (lambda snap: fnmatch(snap.vehicle_id, ego_selector))
+    ego_ids, seen = [], set()
+    for ts in timesteps:
+        for snap in ts.snapshots:
+            if snap.vehicle_id not in seen and select(snap):
+                seen.add(snap.vehicle_id)
+                ego_ids.append(snap.vehicle_id)
+    trajectories = []
+    for ego_id in ego_ids:
+        run = []
+        for ts in timesteps:
+            ego = next((s for s in ts.snapshots if s.vehicle_id == ego_id), None)
+            if ego is None:
+                if run:
+                    trajectories.append(Trajectory(ego_id, tuple(run)))
+                    run = []
+                continue
+            run.append(TrajectoryStep(ts.time, ego, tuple(s for s in ts.snapshots if s.vehicle_id != ego_id)))
+        if run:
+            trajectories.append(Trajectory(ego_id, tuple(run)))
+    return trajectories
 
 
 class TestExtract:
@@ -203,6 +274,61 @@ class TestExtract:
                 assert got == runs
 
 
+    @staticmethod
+    def random_log(rng, n_vehicles, n_steps):
+        """Random presence, a shuffled listing order per timestep, x growing with time."""
+        ids = [("ego", "m", "car")[rng.randrange(3)] + str(v) for v in range(n_vehicles)]
+        steps = []
+        for t in range(n_steps):
+            snaps = [Snapshot(vid, 2.0 * t + v, 0.0, 1.0, 90.0, None)
+                     for v, vid in enumerate(ids) if rng.random() < 0.6]
+            rng.shuffle(snaps)
+            steps.append(Timestep(float(t), tuple(snaps)))
+        return steps
+
+    def test_equals_rescan_on_random_logs(self):
+        rng = Rng(29)
+
+        def late(snap):  # selects an ego only partway through its presence
+            return snap.vehicle_id.startswith("ego") and snap.x >= 9.0
+
+        seen = {"split": 0, "late": 0}
+        for _ in range(150):
+            log = self.random_log(rng, 1 + rng.randrange(7), 1 + rng.randrange(14))
+            for selector in ("ego*", "*1", "[ec]*", late):
+                got = extract_ego_sequences(log, selector)
+                assert got == extract_by_rescan(log, selector)
+                ids = [t.ego_id for t in got]
+                seen["split"] += len(ids) - len(set(ids))
+            seen["late"] += sum(not late(t.steps[0].ego) for t in extract_ego_sequences(log, late))
+        assert seen["split"] > 0 and seen["late"] > 0  # the logs exercised reappearance and late selection
+
+    def test_predicate_tried_until_it_first_holds(self):
+        log = self.random_log(Rng(5), 6, 12)
+
+        def recording(calls):
+            def late(snap):
+                calls.append(snap)
+                return snap.x >= 9.0
+            return late
+
+        calls, reference_calls = [], []
+        assert extract_ego_sequences(log, recording(calls)) == extract_by_rescan(log, recording(reference_calls))
+        assert calls == reference_calls
+
+    def test_neighbors_keep_listing_order(self):
+        log = [Timestep(0.0, tuple(Snapshot(v, float(i), 0.0, 1.0, 90.0, None)
+                                   for i, v in enumerate(["n2", "ego0", "n1", "n3"])))]
+        out = extract_ego_sequences(log, "ego0")
+        assert [n.vehicle_id for n in out[0].steps[0].neighbors] == ["n2", "n1", "n3"]
+
+    def test_output_by_first_selection_then_run(self):
+        log = self.make_log({"b": {1, 2, 5}, "a": {0, 1, 2, 3, 4, 5, 6}, "c": {3}})
+        assert [(t.ego_id, len(t)) for t in extract_ego_sequences(log, "[bc]")] == [("b", 2), ("b", 1), ("c", 1)]
+        picked = extract_ego_sequences(log, lambda snap: snap.vehicle_id != "a" or snap.x >= 4.0)
+        assert [(t.ego_id, t.steps[0].time) for t in picked] == [("b", 1.0), ("b", 5.0), ("c", 3.0), ("a", 0.0)]
+
+
 class TestClassify:
     CFG = FilterConfig(d_min=2.0, merge_zone=MergeZone(100.0, 200.0, "main"), t_min=3, t_max=50)
 
@@ -252,6 +378,22 @@ class TestClassify:
                 if was_positive is not None and positive:
                     assert was_positive  # raising d_min never flips negative->positive
                 was_positive = positive
+
+    def test_near_collision_is_hypot_below_d_min(self):
+        # the |dx| prefilter must not change a verdict, also at the edges of d_min and 2 * d_min
+        rng = Rng(41)
+        zone = MergeZone(-math.inf, math.inf)
+        for _ in range(500):
+            d_min = rng.uniform(0.1, 5.0)
+            ex, ey = rng.uniform(-1e4, 1e4), rng.uniform(-10.0, 10.0)
+            edges = (d_min, 2 * d_min, math.nextafter(2 * d_min, 0.0), math.nextafter(2 * d_min, math.inf),
+                     math.nextafter(d_min, 0.0), rng.uniform(0.0, 3 * d_min))
+            dx = edges[rng.randrange(len(edges))] * (1 if rng.random() < 0.5 else -1)
+            dy = (0.0, 1e-9, rng.uniform(0.0, d_min))[rng.randrange(3)]
+            n = Snapshot("n", ex - dx, ey - dy, 8.0, 90.0, None)
+            t = Trajectory("ego", (TrajectoryStep(0.0, Snapshot("ego", ex, ey, 10.0, 90.0, None), (n,)),))
+            verdict = classify_positive(t, FilterConfig(d_min=d_min, merge_zone=zone, t_min=1, t_max=5))
+            assert verdict.positive == (not math.hypot(ex - n.x, ey - n.y) < d_min)
 
     def test_synthetic_labeled_set(self):
         # labels known by construction: distance clause controls them

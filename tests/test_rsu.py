@@ -182,6 +182,23 @@ class TestServeFetch:
         finally:
             srv.stop()
 
+    def test_stop_with_every_slot_held(self, artifact_doc):
+        cfg = RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), max_connections=1, timeout=3.0)
+        srv = RsuServer(cfg, artifact_doc=artifact_doc)
+        srv.start()
+        holder = socket.create_connection(("127.0.0.1", srv.port), timeout=5.0)
+        time.sleep(0.3)  # the silent holder takes the only slot
+        pending = socket.create_connection(("127.0.0.1", srv.port), timeout=5.0)
+        time.sleep(0.3)  # the accept loop takes the second connection and waits for a slot
+        try:
+            start = time.perf_counter()
+            srv.stop()
+            assert time.perf_counter() - start < 1.0
+            assert pending.recv(1) == b""  # closed without a response
+        finally:
+            holder.close()
+            pending.close()
+
     def test_soak_32_clients_cap_16(self, artifact_doc):
         cfg = RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), max_connections=16)
         srv = RsuServer(cfg, artifact_doc=artifact_doc)
