@@ -28,7 +28,6 @@ import zlib
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 from xml.parsers import expat
-from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
@@ -187,40 +186,15 @@ def parse_fcd(data) -> list[Timestep]:
     return handler.timesteps
 
 
-def serialize_fcd(timesteps: Sequence[Timestep]) -> str:
-    """Write the subset grammar back out (full float precision)."""
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<fcd-export>"]
-    for ts in timesteps:
-        lines.append(f'    <timestep time="{ts.time!r}">')
-        for s in ts.snapshots:
-            lane = f" lane={quoteattr(s.lane)}" if s.lane is not None else ""
-            lines.append(
-                f'        <vehicle id={quoteattr(s.vehicle_id)} x="{s.x!r}" y="{s.y!r}"'
-                f' speed="{s.speed!r}" angle="{s.angle!r}"{lane}/>'
-            )
-        lines.append("    </timestep>")
-    lines.append("</fcd-export>")
-    return "\n".join(lines) + "\n"
-
-
-def extract_ego_sequences(
-    timesteps: Sequence[Timestep],
-    ego_selector,
-    window: Optional[tuple[float, float]] = None,
-) -> list[Trajectory]:
+def extract_ego_sequences(timesteps: Sequence[Timestep], ego_selector) -> list[Trajectory]:
     """One Trajectory per contiguous presence run of each selected ego.
 
-    ego_selector is a glob pattern on vehicle id or a predicate Snapshot->bool;
-    window optionally restricts to times in [t0, t1] before extraction.
+    ego_selector is a glob pattern on vehicle id or a predicate Snapshot->bool.
     A vehicle that vanishes and reappears yields separate trajectories, in
     order of first selection, then of time. A predicate is tried on each
     snapshot until it first holds; the trajectories cover the whole presence.
     Vehicle ids are unique within a timestep, as parse_fcd enforces.
     """
-    if window is not None:
-        t0, t1 = window
-        timesteps = [ts for ts in timesteps if t0 <= ts.time <= t1]
-
     if callable(ego_selector):
         chosen: dict[str, None] = {}  # ids in order of first selection
         for ts in timesteps:

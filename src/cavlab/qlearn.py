@@ -11,6 +11,10 @@ The update rule is
 Two independent RNG streams keep paired experiments honest: stream 0 spawns
 worlds, stream 1 drives exploration, so V2V on/off runs with the same seed
 visit identical worlds.
+
+`run_episodes`, the one episode loop for training and greedy rollouts, keeps
+the world as plain ints and steps it with `world.apply_action` and
+`world.scan_full`.
 """
 
 from __future__ import annotations
@@ -19,11 +23,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from .rng import Rng
 from .world import (
-    ACTIONS,
+    AGENT_START,
     ALIVE,
     GOAL,
     ConfigError,
@@ -32,12 +34,10 @@ from .world import (
     Road,
     RoadConfig,
     RewardConfig,
-    VehicleState,
-    WorldState,
     _checked_fields,
     apply_action,
-    reward,
     reward_table,
+    scan_full,
     spawn_world,
 )
 
@@ -50,7 +50,7 @@ _ZEROS = (0.0,) * N_ACTIONS
 
 
 def encode_state(speed: int, obs: tuple, v2v: bool = False) -> StateKey:
-    """Canonical observation key from a Road.sense reading; blocker speeds only with v2v."""
+    """Canonical observation key from a scan_full reading; blocker speeds only with v2v."""
     return (speed,) + (obs if v2v else obs[:7])
 
 
@@ -189,7 +189,7 @@ def run_episodes(
     TRACE_HEADER row per step to `trace` when given. A timeout reports Alive.
     """
     road = Road(road_cfg)
-    move, sense = road.move, road.sense
+    move, sense = apply_action, scan_full  # looked up once per call, where a tracer may wrap them
     rewards = reward_table(reward_cfg, road_cfg)
     entries, v2v = q.entries, q.v2v
     world_rng = Rng(seed, WORLD_STREAM)
@@ -201,12 +201,12 @@ def run_episodes(
     eps = 0.0
     pending = None  # (key, action, reward) of a Goal step awaiting the next start observation
     for episode in range(episodes):
-        world = spawn_world(road_cfg, world_rng)
+        b0, b1 = spawn_world(road_cfg, world_rng)
         if cap == 0:
             yield 0, ALIVE
             continue
-        (b0, b1), (lane, pos, speed) = world.lanes, world.agent
-        obs = sense(b0, b1, lane, pos)
+        lane, pos, speed = AGENT_START
+        obs = sense(road, b0, b1, lane, pos)
         key = encode_state(speed, obs, v2v)
         if learn_cfg is not None:
             eps = epsilon_at(learn_cfg, episode)
@@ -218,13 +218,13 @@ def run_episodes(
             a = select_action(entries, key, eps, explore_rng)
             if trace is not None:
                 head = f"{episode},{steps},{lane},{pos},{speed},{','.join(map(str, obs[:7]))},{a}"
-            b0, b1, lane, pos, speed, event = move(b0, b1, lane, pos, speed, a)
+            b0, b1, lane, pos, speed, event = move(road, b0, b1, lane, pos, speed, a)
             r = rewards[event][a // 3][speed][lane]
             steps += 1
             if trace is not None:
                 trace.append(f"{head},{r!r},{_EVENT_NAMES[event]}")
             if event == ALIVE and steps < cap:
-                obs = sense(b0, b1, lane, pos)
+                obs = sense(road, b0, b1, lane, pos)
                 next_key = encode_state(speed, obs, v2v)
             else:
                 next_key = None  # the episode ends: the update is terminal
@@ -301,49 +301,3 @@ def metrics_to_csv(buckets: Iterable[MetricsBucket]) -> str:
             f"{b.timeout_rate!r},{b.epsilon!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def value_iteration_oracle(
-    road_cfg: RoadConfig,
-    reward_cfg: RewardConfig,
-    gamma: float,
-    tol: float = 1e-10,
-    max_sweeps: int = 1_000_000,
-) -> dict[tuple[int, int, int], list[float]]:
-    """Exact Q* for the obstacle-free road by synchronous Bellman backups.
-
-    States are (lane, pos, speed); the returned map holds one 9-vector per
-    state. Rejects configurations with obstacles (state space not enumerable).
-    """
-    if road_cfg.n_obstacles != 0:
-        raise ValueError("oracle requires an obstacle-free configuration")
-    states = [
-        (lane, pos, speed)
-        for lane in range(road_cfg.lanes)
-        for pos in range(road_cfg.length)
-        for speed in range(road_cfg.max_agent_speed + 1)
-    ]
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    rew = np.zeros((n, N_ACTIONS))
-    nxt = np.zeros((n, N_ACTIONS), dtype=np.int64)
-    term = np.zeros((n, N_ACTIONS), dtype=bool)
-    for s, i in index.items():
-        w = WorldState(VehicleState(*s), (0, 0), 0)
-        for a in range(N_ACTIONS):
-            out = apply_action(w, ACTIONS[a], road_cfg)
-            agent = out.next.agent
-            rew[i, a] = reward(out.event, ACTIONS[a], agent.speed, agent.lane, reward_cfg, road_cfg)
-            if out.event is Event.ALIVE:
-                nxt[i, a] = index[(agent.lane, agent.pos, agent.speed)]
-            else:
-                term[i, a] = True
-    q = np.zeros((n, N_ACTIONS))
-    for _ in range(max_sweeps):
-        v = q.max(axis=1)
-        q_new = rew + gamma * np.where(term, 0.0, v[nxt])
-        residual = np.abs(q_new - q).max()
-        q = q_new
-        if residual < tol:
-            return {s: q[i].tolist() for s, i in index.items()}
-    raise RuntimeError(f"value iteration did not reach residual {tol}")

@@ -44,11 +44,6 @@ class ModelConfig:
             raise ValueError("all dimensions must be >= 1")
 
 
-def param_count(cfg: ModelConfig) -> int:
-    h, d, o = cfg.hidden_dim, cfg.input_dim, cfg.output_dim
-    return 4 * h * (d + h + 1) + o * (h + 1)
-
-
 class SeqModel:
     """LSTM + linear head parameters. Arrays are float64 and owned."""
 

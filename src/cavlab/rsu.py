@@ -21,6 +21,7 @@ import json
 import socket
 import sys
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -97,19 +98,28 @@ def handle_request(msg, geofence: Geofence, artifact_doc: dict) -> dict:
     return {"type": "none", "reason": "outside_geofence"}
 
 
-def _read_line(conn: socket.socket) -> bytes:
+def _read_line(conn: socket.socket, limit: int, deadline: float) -> bytes:
+    """The first line `conn` sends, without its newline, read by `deadline` (time.monotonic).
+
+    One deadline bounds the whole line, so a peer that trickles bytes cannot
+    hold the connection for longer than a silent one.
+    """
     chunks = []
     size = 0
     while True:
-        chunk = conn.recv(4096)
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise socket.timeout("line not complete before the deadline")
+        conn.settimeout(remaining)
+        chunk = conn.recv(min(limit, 65536))
         if not chunk:
             break
         chunks.append(chunk)
         size += len(chunk)
         if b"\n" in chunk:
             break
-        if size > MAX_REQUEST:
-            raise RsuProtocolError("request line too long")
+        if size > limit:
+            raise RsuProtocolError(f"line longer than {limit} bytes")
     return b"".join(chunks).split(b"\n", 1)[0]
 
 
@@ -167,11 +177,10 @@ class RsuServer:
 
     def _handle(self, conn: socket.socket) -> None:
         try:
-            conn.settimeout(self.cfg.timeout)
             try:
-                line = _read_line(conn)
+                line = _read_line(conn, MAX_REQUEST, time.monotonic() + self.cfg.timeout)
             except (socket.timeout, RsuProtocolError, OSError):
-                return  # silent or abusive client: close and move on
+                return  # silent, trickling or abusive client: close and move on
             try:
                 msg = json.loads(line.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -185,6 +194,7 @@ class RsuServer:
             with self._count_lock:
                 self.requests_served += 1
             try:
+                conn.settimeout(self.cfg.timeout)
                 conn.sendall(out)
             except OSError:
                 with self._count_lock:
@@ -239,28 +249,21 @@ def fetch(
 ) -> Optional[PolicyArtifact]:
     """Hello the RSU; returns the verified artifact, or None outside the zone.
 
-    Raises RsuConnectError (unreachable/timeout), RsuProtocolError (bad
-    response), or ChecksumMismatchError (corrupt payload) - all distinct.
+    `timeout` bounds the whole exchange: connect, hello and response. Raises
+    RsuConnectError (unreachable/timeout), RsuProtocolError (bad response),
+    or ChecksumMismatchError (corrupt payload) - all distinct.
     """
     hello = json.dumps({"type": "hello", "vehicle_id": vehicle_id, "x": x, "y": y}) + "\n"
+    deadline = time.monotonic() + timeout
     try:
         with socket.create_connection((host, port), timeout=timeout) as conn:
-            conn.settimeout(timeout)
             conn.sendall(hello.encode("utf-8"))
-            buf = bytearray()
-            while b"\n" not in buf:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                buf.extend(chunk)
-                if len(buf) > MAX_LINE:
-                    raise RsuProtocolError("response line too long")
+            line = _read_line(conn, MAX_LINE, deadline)
     except (ConnectionError, socket.timeout, TimeoutError, OSError) as exc:
         raise RsuConnectError(f"cannot reach {host}:{port}: {exc}") from exc
 
-    if not buf:
+    if not line:
         raise RsuProtocolError("connection closed without a response")
-    line = bytes(buf).split(b"\n", 1)[0]
     try:
         msg = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

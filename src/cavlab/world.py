@@ -24,18 +24,22 @@ global max agent speed for every lane); `lane_speed_limit` is the constant
 speed of the obstacle traffic per lane.
 
 Because every obstacle in a lane moves at that lane's speed, the obstacles are
-stored as one `length`-bit int per lane (`WorldState.lanes`). Advancing traffic
-is a shift and a mask, the crash check ANDs the agent's lane with the swept
-cells, and each ray reads the lowest or highest set bit on its side of the
-agent. `Road` holds these operations on plain ints for the episode loop;
-`apply_action`, `scan_full` and `scan` are the same operations on WorldState.
+stored as one `length`-bit int per lane, the lane bitboards `b0` and `b1` (bit
+p set: an obstacle in cell p). Advancing traffic is a shift and a mask, the
+crash check ANDs the agent's lane with the swept cells, and each ray reads the
+lowest or highest set bit on its side of the agent. A world is the two
+bitboards plus the agent's (lane, pos, speed), all plain ints: `spawn_world`
+draws the bitboards, `apply_action` steps them with an action index
+`dir * 3 + spd`, and `scan_full` reads the scanner. Both take a `Road`, the
+constants of one RoadConfig.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .rng import Rng
 
@@ -67,43 +71,7 @@ class Event(IntEnum):
     BUMP = 3
 
 
-class ActionPair(NamedTuple):
-    dir: Dir
-    spd: Spd
-
-    @property
-    def index(self) -> int:
-        return self.dir * 3 + self.spd
-
-
-# Fixed total ordering Left<Stay<Right (major), Dec<Keep<Inc (minor):
-# index 0 = (Left, Dec) ... index 8 = (Right, Inc).
-ACTIONS: tuple[ActionPair, ...] = tuple(
-    ActionPair(d, s) for d in (Dir.LEFT, Dir.STAY, Dir.RIGHT) for s in (Spd.DEC, Spd.KEEP, Spd.INC)
-)
-
-N_ACTIONS = 9
-
-
-class VehicleState(NamedTuple):
-    lane: int
-    pos: int
-    speed: int
-
-
-class WorldState(NamedTuple):
-    agent: VehicleState
-    lanes: tuple[int, int]  # one bitboard per lane: bit p set = an obstacle in cell p
-    step: int
-
-
-class ScannerReading(NamedTuple):
-    dist: tuple[int, int, int, int, int, int, int]
-
-
-class StepOutcome(NamedTuple):
-    next: WorldState
-    event: Event
+N_ACTIONS = 9  # index dir * 3 + spd: 0 = (Left, Dec) ... 8 = (Right, Inc)
 
 
 @dataclass(frozen=True)
@@ -118,11 +86,15 @@ class RoadConfig:
     agent_speed_limit: Optional[tuple[int, ...]] = None  # None: max_agent_speed per lane
 
     def __post_init__(self):
-        object.__setattr__(self, "lane_speed_limit", tuple(self.lane_speed_limit))
-        if self.agent_speed_limit is None:
-            object.__setattr__(self, "agent_speed_limit", (self.max_agent_speed,) * self.lanes)
-        else:
-            object.__setattr__(self, "agent_speed_limit", tuple(self.agent_speed_limit))
+        # every field is an int or a per-lane tuple of ints; a bool or a float is refused
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("speed_limit"):
+                value = (self.max_agent_speed,) * self.lanes if value is None else tuple(value)
+                object.__setattr__(self, f.name, value)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ConfigError(f"{f.name} needs ints, got {value!r}")
         if self.length < 2:
             raise ConfigError(f"length must be >= 2, got {self.length}")
         if self.lanes != 2:
@@ -159,6 +131,14 @@ class RewardConfig:
     speed_bonus_divisor: float = 10.0
     overspeed_factor: float = 2.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        if self.speed_bonus_divisor == 0:
+            raise ConfigError("speed_bonus_divisor must not be 0")
+
     @classmethod
     def from_dict(cls, d: dict) -> "RewardConfig":
         return cls(**_checked_fields(cls, d))
@@ -172,8 +152,11 @@ def _checked_fields(cls, d: dict) -> dict:
     return dict(d)
 
 
-def spawn_world(cfg: RoadConfig, rng: Rng) -> WorldState:
-    """Agent at (0, 0, 1) plus n_obstacles distinct cells in pos in [4, length-1]."""
+AGENT_START = (0, 0, 1)  # (lane, pos, speed) of the agent in every spawned world
+
+
+def spawn_world(cfg: RoadConfig, rng: Rng) -> tuple[int, int]:
+    """The lane bitboards of n_obstacles distinct cells with pos in [4, length-1]."""
     span = cfg.length - 4
     cells = cfg.lanes * max(span, 0)
     if cfg.n_obstacles > cells:
@@ -196,7 +179,7 @@ def spawn_world(cfg: RoadConfig, rng: Rng) -> WorldState:
             candidates[i], candidates[j] = candidates[j], candidates[i]
             lane, pos = candidates[i]
             lanes[lane] |= 1 << pos
-    return WorldState(VehicleState(0, 0, 1), (lanes[0], lanes[1]), 0)
+    return lanes[0], lanes[1]
 
 
 ALIVE, GOAL, CRASH, BUMP = Event.ALIVE.value, Event.GOAL.value, Event.CRASH.value, Event.BUMP.value
@@ -204,12 +187,7 @@ NO_VEHICLE = -1  # blocker speed of a ray that ends at the wall or at its range
 
 
 class Road:
-    """Step and scanner of one RoadConfig, on the two lane bitboards.
-
-    Works on plain ints so an episode loop can call it without building a
-    WorldState per step: `b0`/`b1` are the lane bitboards, the agent is
-    (lane, pos, speed) and the action is its index in ACTIONS.
-    """
+    """The constants of one RoadConfig that apply_action and scan_full read."""
 
     __slots__ = ("length", "full", "s0", "s1", "max_speed", "scan_range")
 
@@ -220,86 +198,70 @@ class Road:
         self.max_speed = cfg.max_agent_speed
         self.scan_range = cfg.scan_range
 
-    def move(self, b0: int, b1: int, lane: int, pos: int, speed: int, a: int) -> tuple:
-        """One step: (b0, b1, lane, pos, speed, event) after action index `a`.
 
-        Obstacles advance first (a shift that also drops those past the road
-        end), then the agent shifts and sweeps. Event precedence Bump > Crash >
-        Goal > Alive; a bump aborts the move (the speed change still applies),
-        and the crash check covers exactly the cells pos+1..pos+new_speed in
-        the post-shift lane against post-move obstacles.
-        """
-        b0 = (b0 << self.s0) & self.full
-        b1 = (b1 << self.s1) & self.full
-        speed += a % 3 - 1
-        if speed < 0:
-            speed = 0
-        elif speed > self.max_speed:
-            speed = self.max_speed
-        new_lane = lane + a // 3 - 1
-        if new_lane < 0 or new_lane > 1:
-            return b0, b1, lane, pos, speed, BUMP
-        if ((b1 if new_lane else b0) >> (pos + 1)) & ((1 << speed) - 1):
-            event = CRASH
-        elif pos + speed >= self.length:
-            event = GOAL
-        else:
-            event = ALIVE
-        return b0, b1, new_lane, pos + speed, speed, event
+def apply_action(road: Road, b0: int, b1: int, lane: int, pos: int, speed: int, a: int) -> tuple:
+    """One step: (b0, b1, lane, pos, speed, event) after action index `a`.
 
-    def sense(self, b0: int, b1: int, lane: int, pos: int) -> tuple:
-        """The 7 scanner distances then the 7 blocker speeds (NO_VEHICLE for none)."""
-        rng_cap = self.scan_range
-        if lane:
-            own, other, own_spd, other_spd = b1, b0, self.s1, self.s0
-        else:
-            own, other, own_spd, other_spd = b0, b1, self.s0, self.s1
-
-        ahead = own >> (pos + 1)  # bit k: cell pos+1+k
-        front = (ahead & -ahead).bit_length() - 1 if ahead else rng_cap
-        ahead = other >> (pos + 1)
-        diag_f = (ahead & -ahead).bit_length() - 1 if ahead else rng_cap
-        behind = other & ((1 << pos) - 1)  # the nearest blocker is the highest bit
-        diag_r = pos - behind.bit_length() if behind else rng_cap
-        # a blocker beyond the range is not seen
-        front, front_spd = (front, own_spd) if front < rng_cap else (rng_cap, NO_VEHICLE)
-        diag_f, diag_f_spd = (diag_f, other_spd) if diag_f < rng_cap else (rng_cap, NO_VEHICLE)
-        diag_r, diag_r_spd = (diag_r, other_spd) if diag_r < rng_cap else (rng_cap, NO_VEHICLE)
-
-        # the one lateral neighbour is the other lane; the far side is the wall
-        if (other >> pos) & 1:
-            side, side_spd = 0, other_spd
-        else:
-            side, side_spd = 1, NO_VEHICLE
-        if lane:
-            left, right, left_spd, right_spd = side, 0, side_spd, NO_VEHICLE
-        else:
-            left, right, left_spd, right_spd = 0, side, NO_VEHICLE, side_spd
-        return (front, diag_f, diag_f, left, right, diag_r, diag_r,
-                front_spd, diag_f_spd, diag_f_spd, left_spd, right_spd, diag_r_spd, diag_r_spd)
+    Obstacles advance first (a shift that also drops those past the road
+    end), then the agent shifts and sweeps. Event precedence Bump > Crash >
+    Goal > Alive; a bump aborts the move (the speed change still applies),
+    and the crash check covers exactly the cells pos+1..pos+new_speed in
+    the post-shift lane against post-move obstacles.
+    """
+    b0 = (b0 << road.s0) & road.full
+    b1 = (b1 << road.s1) & road.full
+    speed += a % 3 - 1
+    if speed < 0:
+        speed = 0
+    elif speed > road.max_speed:
+        speed = road.max_speed
+    new_lane = lane + a // 3 - 1
+    if new_lane < 0 or new_lane > 1:
+        return b0, b1, lane, pos, speed, BUMP
+    if ((b1 if new_lane else b0) >> (pos + 1)) & ((1 << speed) - 1):
+        event = CRASH
+    elif pos + speed >= road.length:
+        event = GOAL
+    else:
+        event = ALIVE
+    return b0, b1, new_lane, pos + speed, speed, event
 
 
-def scan_full(world: WorldState, cfg: RoadConfig):
-    """ScannerReading plus per-ray nearest-vehicle speed (None when no vehicle in range)."""
-    obs = Road(cfg).sense(*world.lanes, world.agent.lane, world.agent.pos)
-    speeds = tuple(None if s == NO_VEHICLE else s for s in obs[7:])
-    return ScannerReading(obs[:7]), speeds
+def scan_full(road: Road, b0: int, b1: int, lane: int, pos: int) -> tuple:
+    """The 7 scanner distances then the 7 blocker speeds (NO_VEHICLE for none)."""
+    rng_cap = road.scan_range
+    if lane:
+        own, other, own_spd, other_spd = b1, b0, road.s1, road.s0
+    else:
+        own, other, own_spd, other_spd = b0, b1, road.s0, road.s1
 
+    ahead = own >> (pos + 1)  # bit k: cell pos+1+k
+    front = (ahead & -ahead).bit_length() - 1 if ahead else rng_cap
+    ahead = other >> (pos + 1)
+    diag_f = (ahead & -ahead).bit_length() - 1 if ahead else rng_cap
+    behind = other & ((1 << pos) - 1)  # the nearest blocker is the highest bit
+    diag_r = pos - behind.bit_length() if behind else rng_cap
+    # a blocker beyond the range is not seen
+    front, front_spd = (front, own_spd) if front < rng_cap else (rng_cap, NO_VEHICLE)
+    diag_f, diag_f_spd = (diag_f, other_spd) if diag_f < rng_cap else (rng_cap, NO_VEHICLE)
+    diag_r, diag_r_spd = (diag_r, other_spd) if diag_r < rng_cap else (rng_cap, NO_VEHICLE)
 
-def scan(world: WorldState, cfg: RoadConfig) -> ScannerReading:
-    return scan_full(world, cfg)[0]
-
-
-def apply_action(world: WorldState, action: ActionPair, cfg: RoadConfig) -> StepOutcome:
-    """One simulation step: Road.move on a WorldState."""
-    b0, b1, lane, pos, speed, event = Road(cfg).move(*world.lanes, *world.agent, action.index)
-    nxt = WorldState(VehicleState(lane, pos, speed), (b0, b1), world.step + 1)
-    return StepOutcome(nxt, Event(event))
+    # the one lateral neighbour is the other lane; the far side is the wall
+    if (other >> pos) & 1:
+        side, side_spd = 0, other_spd
+    else:
+        side, side_spd = 1, NO_VEHICLE
+    if lane:
+        left, right, left_spd, right_spd = side, 0, side_spd, NO_VEHICLE
+    else:
+        left, right, left_spd, right_spd = 0, side, NO_VEHICLE, side_spd
+    return (front, diag_f, diag_f, left, right, diag_r, diag_r,
+            front_spd, diag_f_spd, diag_f_spd, left_spd, right_spd, diag_r_spd, diag_r_spd)
 
 
 def reward(
     event: Event,
-    action: ActionPair,
+    direction: Dir,
     agent_speed: int,
     agent_lane: int,
     reward_cfg: RewardConfig,
@@ -311,9 +273,9 @@ def reward(
     bonus applies at or below agent_speed_limit for the lane, the overspeed
     penalty above it regardless of outcome.
     """
-    failed = event is Event.CRASH or event is Event.BUMP
+    failed = event == CRASH or event == BUMP
     r = reward_cfg.crash_or_bump if failed else reward_cfg.alive_or_goal
-    if action.dir != Dir.STAY:
+    if direction != Dir.STAY:
         r += reward_cfg.shift_penalty
     if agent_speed <= road_cfg.agent_speed_limit[agent_lane]:
         if failed:
@@ -330,7 +292,7 @@ def reward_table(reward_cfg: RewardConfig, road_cfg: RoadConfig) -> list:
     return [
         [
             [
-                [reward(event, ACTIONS[d * 3 + Spd.KEEP], speed, lane, reward_cfg, road_cfg)
+                [reward(event, d, speed, lane, reward_cfg, road_cfg)
                  for lane in range(road_cfg.lanes)]
                 for speed in range(road_cfg.max_agent_speed + 1)
             ]

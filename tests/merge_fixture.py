@@ -12,7 +12,10 @@ callers use to express error budgets as a fraction of the speed range.
 
 from __future__ import annotations
 
-from cavlab.imitation import serialize_fcd, Snapshot, Timestep
+from typing import Sequence
+from xml.sax.saxutils import quoteattr
+
+from cavlab.imitation import Snapshot, Timestep
 from cavlab.rng import Rng
 
 MAIN_SPEED = 25.0          # m/s mainline cruise
@@ -23,6 +26,22 @@ ZONE = (MERGE_X, 2000.0, "main")
 SPEED_RANGE = MAIN_SPEED - APPROACH_SPEED_MIN
 
 DT = 1.0
+
+
+def serialize_fcd(timesteps: Sequence[Timestep]) -> str:
+    """Write the subset grammar back out (full float precision)."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<fcd-export>"]
+    for ts in timesteps:
+        lines.append(f'    <timestep time="{ts.time!r}">')
+        for s in ts.snapshots:
+            lane = f" lane={quoteattr(s.lane)}" if s.lane is not None else ""
+            lines.append(
+                f'        <vehicle id={quoteattr(s.vehicle_id)} x="{s.x!r}" y="{s.y!r}"'
+                f' speed="{s.speed!r}" angle="{s.angle!r}"{lane}/>'
+            )
+        lines.append("    </timestep>")
+    lines.append("</fcd-export>")
+    return "\n".join(lines) + "\n"
 
 
 def _ego_step(x: float, speed: float, rng: Rng) -> tuple[float, float, float, str]:

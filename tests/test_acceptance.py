@@ -21,22 +21,14 @@ from cavlab.imitation import (
     evaluate_policy,
     extract_ego_sequences,
     parse_fcd,
-    serialize_fcd,
     train_policy,
 )
-from cavlab.qlearn import ACTIONS, LearnConfig, QTable, q_update, train, value_iteration_oracle
+from cavlab.qlearn import LearnConfig, QTable, q_update, train
 from cavlab.rng import Rng
 from cavlab.rsu import Geofence, RsuConfig, RsuServer, fetch
-from cavlab.world import (
-    Event,
-    RoadConfig,
-    RewardConfig,
-    VehicleState,
-    WorldState,
-    apply_action,
-    reward,
-)
-from merge_fixture import SPEED_RANGE, ZONE, merge_log
+from cavlab.world import ALIVE, AGENT_START, Dir, Road, RoadConfig, RewardConfig, apply_action, reward
+from merge_fixture import SPEED_RANGE, ZONE, merge_log, serialize_fcd
+from value_iteration import value_iteration_oracle
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -104,21 +96,20 @@ class TestA2OracleEquivalence:
         q_star = value_iteration_oracle(road, rew, gamma)
 
         rng = Rng(2024)
+        consts = Road(road)
         q = {}
         counts = {}
         visited = set()
-        state = (0, 0, 1)
+        state = AGENT_START
         in_ep = 0
         for _ in range(500_000):
             a = rng.randrange(9)
-            w = WorldState(VehicleState(*state), (0, 0), 0)
-            out = apply_action(w, ACTIONS[a], road)
-            agent = out.next.agent
-            r = reward(out.event, ACTIONS[a], agent.speed, agent.lane, rew, road)
+            *_, lane, pos, speed, event = apply_action(consts, 0, 0, *state, a)
+            r = reward(event, Dir(a // 3), speed, lane, rew, road)
             in_ep += 1
-            done = out.event is not Event.ALIVE
+            done = event != ALIVE
             cut = not done and in_ep >= road.max_steps
-            nxt = (agent.lane, agent.pos, agent.speed)
+            nxt = (lane, pos, speed)
             bootstrap = 0.0 if (done or cut) else max(q.get(nxt, (0.0,) * 9))
             n = counts.get((state, a), 0) + 1
             counts[(state, a)] = n
@@ -126,7 +117,7 @@ class TestA2OracleEquivalence:
             row[a] += (r + gamma * bootstrap - row[a]) / n
             visited.add((state, a))
             if done or cut:
-                state, in_ep = (0, 0, 1), 0
+                state, in_ep = AGENT_START, 0
             else:
                 state = nxt
         sup = max(abs(q[s][a] - q_star[s][a]) for s, a in visited)

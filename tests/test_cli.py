@@ -15,8 +15,10 @@ from cavlab.qlearn import QTable, encode_state
 from cavlab.rsu import Geofence, RsuConfig, RsuServer
 from cavlab.rng import Rng
 from cavlab.world import (
-    ACTIONS,
+    AGENT_START,
+    Dir,
     Event,
+    Road,
     RoadConfig,
     RewardConfig,
     apply_action,
@@ -168,18 +170,19 @@ class TestSimEval:
         by_run = {}
         for r in rows:
             by_run.setdefault(int(r[0]), []).append(r)
+        assert sorted(by_run) == [0, 1, 2]
+        consts = Road(road)
         for run_idx in sorted(by_run):
-            w = spawn_world(road, world_rng)
-            for r in by_run[run_idx]:
-                assert (int(r[2]), int(r[3]), int(r[4])) == (w.agent.lane, w.agent.pos, w.agent.speed)
-                reading, _ = scan_full(w, road)
-                assert tuple(int(x) for x in r[5:12]) == reading.dist
-                action = ACTIONS[int(r[12])]
-                out = apply_action(w, action, road)
-                got_r = reward(out.event, action, out.next.agent.speed, out.next.agent.lane, rew, road)
-                assert float(r[13]) == got_r
-                assert r[14] == out.event.name.lower()
-                w = out.next
+            b0, b1 = spawn_world(road, world_rng)
+            lane, pos, speed = AGENT_START
+            for t_idx, r in enumerate(by_run[run_idx]):
+                assert int(r[1]) == t_idx
+                assert (int(r[2]), int(r[3]), int(r[4])) == (lane, pos, speed)
+                assert tuple(int(x) for x in r[5:12]) == scan_full(consts, b0, b1, lane, pos)[:7]
+                a = int(r[12])
+                b0, b1, lane, pos, speed, event = apply_action(consts, b0, b1, lane, pos, speed, a)
+                assert float(r[13]) == reward(event, Dir(a // 3), speed, lane, rew, road)
+                assert r[14] == Event(event).name.lower()
 
 
 class TestIngest:
@@ -417,7 +420,12 @@ def workspace(tmp_path_factory):
     assert run_cli("imitate-train", "--dataset", dataset, "--epochs", 1, "--hidden", 4,
                    "--artifact-out", root / "p.json") == 0
     for name, doc in (("road-int", {"road": 5}), ("road-str", {"road": {"length": "20"}}),
-                      ("learn-key", {"learn": {"episode": 10}})):
+                      ("learn-key", {"learn": {"episode": 10}}), ("road-float", {"road": {"length": 20.5}}),
+                      ("road-steps-float", {"road": {"max_steps": 60.5}}),
+                      ("road-lane-bool", {"road": {"lane_speed_limit": [1, True]}}),
+                      ("reward-str", {"reward": {"alive_or_goal": "x"}}),
+                      ("reward-nan", {"reward": {"crash_or_bump": float("nan")}}),
+                      ("reward-div-0", {"reward": {"speed_bonus_divisor": 0}})):
         (root / f"{name}.json").write_text(json.dumps(doc))
     server = RsuServer(RsuConfig(geofence=Geofence(0.0, 200.0, -10.0, 10.0)),
                        artifact_doc=load_artifact(root / "p.json").to_doc())
@@ -446,13 +454,20 @@ class TestBadInput:
         SIM + ["--config", "{root}/road-str.json"],
         SIM + ["--config", "{root}/learn-key.json"],
         SIM + ["--seeds", "1,x"],
+        SIM + ["--config", "{root}/road-float.json"],
+        SIM + ["--config", "{root}/road-steps-float.json"],
+        SIM + ["--config", "{root}/road-lane-bool.json"],
+        SIM + ["--config", "{root}/reward-str.json"],
+        SIM + ["--config", "{root}/reward-nan.json"],
+        SIM + ["--config", "{root}/reward-div-0.json"],
         ["imitate-eval", "--artifact", "{root}/missing.json", "--dataset", "{root}/data.jsonl",
          "--csv-out", "{out}/e.csv"],
         ["rsu-fetch", "--endpoint", "{endpoint}", "--id", "car1", "--x", 50.0, "--y", 0.0,
          "--out", "{out}/nodir/fetched.json"],
     ], ids=["d-min-0", "d-min-nan", "neighbors-neg", "v-norm-nan", "t-min-gt-t-max", "hidden-0", "lr-neg", "lr-nan", "split-1.5",
             "artifact-out-no-dir", "config-road-int", "config-road-str", "config-learn-key", "seeds-not-int",
-            "artifact-missing", "fetch-out-no-dir"])
+            "config-road-float", "config-road-steps-float", "config-road-lane-bool", "config-reward-str",
+            "config-reward-nan", "config-reward-div-0", "artifact-missing", "fetch-out-no-dir"])
     def test_exit_1_with_message(self, workspace, tmp_path, capsys, argv):
         capsys.readouterr()
         assert run_cli(*(str(a).format(out=tmp_path, **workspace) for a in argv)) == 1

@@ -37,12 +37,11 @@ from cavlab.imitation import (
     parse_fcd,
     read_dataset,
     save_artifact,
-    serialize_fcd,
     train_policy,
     write_dataset,
 )
 from cavlab.rng import Rng
-from merge_fixture import merge_log
+from merge_fixture import merge_log, serialize_fcd
 
 
 def fcd(body: str) -> str:
@@ -234,11 +233,6 @@ class TestExtract:
         out = extract_ego_sequences(log, "ego0")
         assert [n.vehicle_id for n in out[0].steps[0].neighbors] == ["n1", "n2"]
         assert [n.vehicle_id for n in out[0].steps[1].neighbors] == ["n2"]
-
-    def test_window_filter(self):
-        log = self.make_log({"ego0": {0, 1, 2, 3, 4}})
-        out = extract_ego_sequences(log, "ego0", window=(1.0, 3.0))
-        assert len(out) == 1 and len(out[0]) == 3
 
     def test_absent_ego_is_empty(self):
         log = self.make_log({"other": {0, 1}})

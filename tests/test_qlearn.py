@@ -1,10 +1,8 @@
-import math
-
 import pytest
 
+from cavlab import qlearn
 from cavlab.rng import Rng
 from cavlab.qlearn import (
-    ACTIONS,
     WORLD_STREAM,
     LearnConfig,
     QTable,
@@ -15,32 +13,29 @@ from cavlab.qlearn import (
     run_episodes,
     select_action,
     train,
-    value_iteration_oracle,
 )
 from cavlab.world import (
+    AGENT_START,
     ALIVE,
     GOAL,
     NO_VEHICLE,
-    ActionPair,
     Dir,
-    Event,
     Road,
     RoadConfig,
     RewardConfig,
     Spd,
-    VehicleState,
-    WorldState,
     apply_action,
     reward,
     scan_full,
     spawn_world,
 )
+from value_iteration import value_iteration_oracle
 
 DIST = (5, 5, 5, 0, 1, 5, 5)
 
 
 def obs_with(*speeds):
-    """A Road.sense reading: DIST, then the blocker speeds padded with NO_VEHICLE."""
+    """A scan_full reading: DIST, then the blocker speeds padded with NO_VEHICLE."""
     return DIST + speeds + (NO_VEHICLE,) * (7 - len(speeds))
 
 
@@ -63,14 +58,15 @@ class TestEncodeState:
         assert off_a == off_b
 
     def test_key_matches_scan_full(self):
-        # the key carries scan_full's distances, and its speeds with None as the -1 sentinel
+        # the key is the speed, then scan_full's 7 distances, then (v2v only) its 7 blocker speeds
         cfg = RoadConfig()
+        road = Road(cfg)
         for seed in range(200):
-            w = spawn_world(cfg, Rng(seed))
-            w = WorldState(VehicleState(seed % 2, 20 + seed % 30, 2), w.lanes, 0)
-            reading, speeds = scan_full(w, cfg)
-            key = encode_state(2, Road(cfg).sense(*w.lanes, w.agent.lane, w.agent.pos), v2v=True)
-            assert key == (2, *reading.dist, *(-1 if s is None else s for s in speeds))
+            lanes = spawn_world(cfg, Rng(seed))
+            obs = scan_full(road, *lanes, seed % 2, 20 + seed % 30)
+            assert len(obs) == 14
+            assert encode_state(2, obs, v2v=True) == (2, *obs)
+            assert encode_state(2, obs, v2v=False) == (2, *obs[:7])
 
 
 class TestQUpdate:
@@ -186,6 +182,27 @@ class TestRunEpisodes:
             runs.append((stats, q.entries, trace))
         assert runs[0] == runs[1]
 
+    def test_steps_and_scans_go_through_the_world_api(self, monkeypatch):
+        # the loop looks apply_action and scan_full up in qlearn, where the benchmark's tracer wraps them
+        calls = {"step": 0, "scan": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(qlearn, "apply_action", counted("step", apply_action))
+        monkeypatch.setattr(qlearn, "scan_full", counted("scan", scan_full))
+        road = RoadConfig(length=20, n_obstacles=2, max_steps=60)
+        stats = list(run_episodes(road, RewardConfig(), QTable(), 2, 300, LearnConfig(seed=2)))
+        trace = []
+        stats += run_episodes(road, RewardConfig(), QTable(), 3, 20, trace=trace)
+        steps = sum(n for n, _ in stats)
+        assert calls["step"] == steps > len(stats)
+        # one observation at each start, then one after every step but an episode's last
+        assert calls["scan"] == len(stats) + (steps - len(stats))
+
     def test_learning_grows_table_and_greedy_rollouts_goal(self):
         road = RoadConfig(length=20, n_obstacles=2, max_steps=60)
         rew = RewardConfig()
@@ -227,17 +244,17 @@ class TestRunEpisodes:
 
         expected = shortest_time(road.length, road.max_agent_speed, 1)
 
-        state = VehicleState(0, 0, 1)
+        state = AGENT_START
         steps = 0
         while True:
-            row = q_star[(state.lane, state.pos, state.speed)]
-            action = ACTIONS[max(range(9), key=lambda i: row[i])]
-            out = apply_action(WorldState(state, (0, 0), 0), action, road)
+            row = q_star[state]
+            a = max(range(9), key=lambda i: row[i])
+            *_, lane, pos, speed, event = apply_action(Road(road), 0, 0, *state, a)
             steps += 1
-            assert out.event in (Event.ALIVE, Event.GOAL)
-            if out.event is Event.GOAL:
+            assert event in (ALIVE, GOAL)
+            if event == GOAL:
                 break
-            state = out.next.agent
+            state = (lane, pos, speed)
             assert steps <= 50
         assert steps == expected
 
@@ -256,9 +273,9 @@ class TestValueIterationOracle:
                           n_obstacles=0, max_steps=10, scan_range=1)
         g = 0.5
         q = value_iteration_oracle(road, RewardConfig(), g, tol=1e-12)
-        sk = ActionPair(Dir.STAY, Spd.KEEP).index
-        si = ActionPair(Dir.STAY, Spd.INC).index
-        sd = ActionPair(Dir.STAY, Spd.DEC).index
+        sk = Dir.STAY * 3 + Spd.KEEP
+        si = Dir.STAY * 3 + Spd.INC
+        sd = Dir.STAY * 3 + Spd.DEC
 
         # goal step from (0,1,1): alive base 0.1 + speed bonus 0.1
         assert q[(0, 1, 1)][sk] == pytest.approx(0.2, abs=1e-9)
@@ -276,24 +293,20 @@ class TestValueIterationOracle:
         # from the start cell at speed 1: advance (0.2) then best from (0,1,1)
         assert q[(0, 0, 1)][sk] == pytest.approx(0.2 + g * v011, abs=1e-9)
         # bump: base -10, shift -0.1, speed 1 <= limit with bump: -1
-        assert q[(0, 0, 1)][ActionPair(Dir.LEFT, Spd.KEEP).index] == pytest.approx(-11.1, abs=1e-9)
+        assert q[(0, 0, 1)][Dir.LEFT * 3 + Spd.KEEP] == pytest.approx(-11.1, abs=1e-9)
 
     def test_residual_converged(self):
         road = RoadConfig(length=10, n_obstacles=0, max_steps=50)
         q1 = value_iteration_oracle(road, RewardConfig(), 0.5, tol=1e-10)
         # one more synchronous backup moves nothing beyond the tolerance
-        import numpy as np
-
         rows = {s: list(r) for s, r in q1.items()}
         worst = 0.0
-        for (lane, pos, speed), row in rows.items():
-            w = WorldState(VehicleState(lane, pos, speed), (0, 0), 0)
+        for state, row in rows.items():
             for a in range(9):
-                out = apply_action(w, ACTIONS[a], road)
-                agent = out.next.agent
-                r = reward(out.event, ACTIONS[a], agent.speed, agent.lane, RewardConfig(), road)
-                if out.event is Event.ALIVE:
-                    r += 0.5 * max(rows[(agent.lane, agent.pos, agent.speed)])
+                *_, lane, pos, speed, event = apply_action(Road(road), 0, 0, *state, a)
+                r = reward(event, Dir(a // 3), speed, lane, RewardConfig(), road)
+                if event == ALIVE:
+                    r += 0.5 * max(rows[(lane, pos, speed)])
                 worst = max(worst, abs(r - row[a]))
         assert worst < 1e-9
 

@@ -14,7 +14,6 @@ from cavlab.rnn import (
     fit,
     forward,
     mse_loss,
-    param_count,
 )
 
 
@@ -104,8 +103,10 @@ class TestInit:
     def test_param_count_formula(self):
         cfg = ModelConfig(input_dim=9, output_dim=2, hidden_dim=32, seed=0)
         m = SeqModel.initialize(cfg)
-        assert param_count(cfg) == sum(p.size for p in m.params().values())
-        assert param_count(cfg) == 4 * 32 * (9 + 32 + 1) + 2 * (32 + 1)
+        h, d, o = cfg.hidden_dim, cfg.input_dim, cfg.output_dim
+        count = 4 * h * (d + h + 1) + o * (h + 1)
+        assert count == sum(p.size for p in m.params().values())
+        assert count == 4 * 32 * (9 + 32 + 1) + 2 * (32 + 1)
 
 
 class TestMseLoss:

@@ -199,6 +199,62 @@ class TestServeFetch:
             holder.close()
             pending.close()
 
+    def test_trickling_client_cannot_hold_the_only_slot(self, artifact_doc):
+        # one deadline bounds the whole request line, not each recv
+        cfg = RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), max_connections=1, timeout=0.5)
+        srv = RsuServer(cfg, artifact_doc=artifact_doc)
+        srv.start()
+        done = threading.Event()
+
+        def trickle():
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5.0) as conn:
+                while not done.wait(0.3):
+                    try:
+                        conn.sendall(b"{")  # never a whole line
+                    except OSError:
+                        return
+
+        trickler = threading.Thread(target=trickle)
+        trickler.start()
+        try:
+            time.sleep(0.2)  # the trickler takes the only slot
+            start = time.perf_counter()
+            assert fetch("127.0.0.1", srv.port, "car1", 50.0, 5.0, timeout=3.0) is not None
+            assert time.perf_counter() - start < cfg.timeout + 1.0
+        finally:
+            done.set()
+            trickler.join(timeout=5.0)
+            srv.stop()
+        assert not trickler.is_alive()
+
+    def test_fetch_timeout_bounds_a_trickled_response(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        done = threading.Event()
+
+        def trickle():
+            conn, _ = listener.accept()
+            with conn:
+                for _ in range(20):  # at most 6 s, so a fetch bounded only per recv still returns
+                    if done.wait(0.3):
+                        return
+                    try:
+                        conn.sendall(b"{")  # never a whole line
+                    except OSError:
+                        return
+
+        server = threading.Thread(target=trickle)
+        server.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(RsuConnectError):
+                fetch("127.0.0.1", listener.getsockname()[1], "car1", 50.0, 5.0, timeout=0.5)
+            assert time.perf_counter() - start < 0.5 + 1.0
+        finally:
+            done.set()
+            server.join(timeout=5.0)
+            listener.close()
+        assert not server.is_alive()
+
     def test_soak_32_clients_cap_16(self, artifact_doc):
         cfg = RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), max_connections=16)
         srv = RsuServer(cfg, artifact_doc=artifact_doc)

@@ -2,45 +2,72 @@ import pytest
 
 from cavlab.rng import Rng
 from cavlab.world import (
-    ACTIONS,
-    ActionPair,
+    AGENT_START,
+    ALIVE,
+    BUMP,
+    CRASH,
+    GOAL,
+    N_ACTIONS,
+    NO_VEHICLE,
     ConfigError,
     Dir,
     Event,
+    Road,
     RoadConfig,
     RewardConfig,
     Spd,
     SpawnError,
-    VehicleState,
-    WorldState,
     apply_action,
     reward,
-    scan,
     scan_full,
     spawn_world,
 )
 
 
-def world_with(agent, obstacles=(), step=0):
-    """World with the agent at (lane, pos, speed) and obstacles in the (lane, pos) cells."""
+def act(d, s):
+    """The action index of (lateral, speed) change."""
+    return d * 3 + s
+
+
+def lanes_with(obstacles=()):
+    """The lane bitboards with obstacles in the (lane, pos) cells."""
     lanes = [0, 0]
     for lane, pos in obstacles:
         lanes[lane] |= 1 << pos
-    return WorldState(VehicleState(*agent), tuple(lanes), step)
+    return tuple(lanes)
 
 
-def cells(world, cfg=RoadConfig()):
-    """The world's obstacle cells, (lane, pos) in lane-then-position order."""
-    return [(lane, pos) for lane in range(2) for pos in range(cfg.length) if world.lanes[lane] >> pos & 1]
+def cells(lanes, cfg=RoadConfig()):
+    """The obstacle cells of the lane bitboards, (lane, pos) in lane-then-position order."""
+    return [(lane, pos) for lane in range(2) for pos in range(cfg.length) if lanes[lane] >> pos & 1]
+
+
+def step(agent, a, obstacles=(), cfg=RoadConfig()):
+    """apply_action from the agent at (lane, pos, speed) among obstacle cells: (cells, agent, event)."""
+    b0, b1, lane, pos, speed, event = apply_action(Road(cfg), *lanes_with(obstacles), *agent, a)
+    return cells((b0, b1), cfg), (lane, pos, speed), event
+
+
+def sense(lane, pos, obstacles=(), cfg=RoadConfig()):
+    """scan_full from the agent at (lane, pos): (7 distances, 7 blocker speeds)."""
+    obs = scan_full(Road(cfg), *lanes_with(obstacles), lane, pos)
+    return obs[:7], obs[7:]
 
 
 class TestActions:
     def test_nine_distinct_indexed_actions(self):
-        assert len(ACTIONS) == 9
-        assert [a.index for a in ACTIONS] == list(range(9))
-        assert ACTIONS[0] == ActionPair(Dir.LEFT, Spd.DEC)
-        assert ACTIONS[4] == ActionPair(Dir.STAY, Spd.KEEP)
-        assert ACTIONS[8] == ActionPair(Dir.RIGHT, Spd.INC)
+        # (Left, Dec) is 0, (Stay, Keep) 4, (Right, Inc) 8
+        assert [act(d, s) for d in Dir for s in Spd] == list(range(N_ACTIONS)) and N_ACTIONS == 9
+        assert act(Dir.STAY, Spd.KEEP) == 4
+        # apply_action reads the lateral change from a // 3 and the speed change from a % 3
+        for d in Dir:
+            for s in Spd:
+                _, (lane, pos, speed), event = step((0, 10, 1), act(d, s))
+                assert speed == s
+                if d == Dir.LEFT:
+                    assert event == BUMP and (lane, pos) == (0, 10)
+                else:
+                    assert event == ALIVE and (lane, pos) == (d - 1, 10 + s)
 
 
 class TestRoadConfig:
@@ -72,10 +99,8 @@ class TestRoadConfig:
 
 class TestSpawn:
     def test_no_obstacles(self):
-        w = spawn_world(RoadConfig(n_obstacles=0), Rng(1))
-        assert w.agent == VehicleState(0, 0, 1)
-        assert w.lanes == (0, 0)
-        assert w.step == 0
+        assert spawn_world(RoadConfig(n_obstacles=0), Rng(1)) == (0, 0)
+        assert AGENT_START == (0, 0, 1)
 
     def test_same_seed_same_world(self):
         cfg = RoadConfig()
@@ -89,25 +114,24 @@ class TestSpawn:
         # obstacle count, position window, nothing beyond the two lanes' cells
         cfg = RoadConfig()
         for seed in range(10_000):
-            w = spawn_world(cfg, Rng(seed))
-            assert len(w.lanes) == cfg.lanes
-            assert len(cells(w, cfg)) == cfg.n_obstacles
-            for lane, pos in cells(w, cfg):
+            lanes = spawn_world(cfg, Rng(seed))
+            assert len(lanes) == cfg.lanes
+            assert len(cells(lanes, cfg)) == cfg.n_obstacles
+            for lane, pos in cells(lanes, cfg):
                 assert 4 <= pos <= cfg.length - 1
-            assert all(bits >> cfg.length == 0 for bits in w.lanes)
+            assert all(bits >> cfg.length == 0 for bits in lanes)
 
     def test_dense_spawn_still_distinct(self):
         cfg = RoadConfig(length=8, n_obstacles=7)
         for seed in range(300):
-            w = spawn_world(cfg, Rng(seed))
-            assert len(cells(w, cfg)) == 7
-            assert all(4 <= pos <= 7 for _, pos in cells(w, cfg))
+            lanes = spawn_world(cfg, Rng(seed))
+            assert len(cells(lanes, cfg)) == 7
+            assert all(4 <= pos <= 7 for _, pos in cells(lanes, cfg))
 
 
-def brute_force_scan(world, cfg):
+def brute_force_scan(lanes, lane, pos, cfg):
     """Independent ray walk on the unpacked occupancy grid: (distances, blocker speeds)."""
-    occupied = set(cells(world, cfg))
-    lane, pos, _ = world.agent
+    occupied = set(cells(lanes, cfg))
     other = 1 - lane
 
     def walk(ray_lane, step):
@@ -116,14 +140,14 @@ def brute_force_scan(world, cfg):
             if (ray_lane, pos + step * k) in occupied:
                 return free, cfg.lane_speed_limit[ray_lane]
             free += 1
-        return free, None
+        return free, NO_VEHICLE
 
     def lateral(target):
         if not 0 <= target < cfg.lanes:
-            return 0, None
+            return 0, NO_VEHICLE
         if (target, pos) in occupied:
             return 0, cfg.lane_speed_limit[target]
-        return 1, None
+        return 1, NO_VEHICLE
 
     rays = [walk(lane, +1), walk(other, +1), walk(other, +1), lateral(lane - 1), lateral(lane + 1),
             walk(other, -1), walk(other, -1)]
@@ -132,134 +156,106 @@ def brute_force_scan(world, cfg):
 
 class TestScan:
     def test_empty_road_example(self):
-        cfg = RoadConfig()
-        w = world_with((0, 30, 1))
-        assert scan(w, cfg).dist == (5, 5, 5, 0, 1, 5, 5)
+        assert sense(0, 30) == ((5, 5, 5, 0, 1, 5, 5), (NO_VEHICLE,) * 7)
 
     def test_front_obstacle_distance(self):
-        cfg = RoadConfig()
-        w = world_with((0, 30, 1), [(0, 32)])
-        assert scan(w, cfg).dist[0] == 1
+        assert sense(0, 30, [(0, 32)])[0][0] == 1
 
     def test_lateral_occupied_reads_zero(self):
-        cfg = RoadConfig()
-        w = world_with((0, 30, 1), [(1, 30)])
-        assert scan(w, cfg).dist[4] == 0
+        assert sense(0, 30, [(1, 30)])[0][4] == 0
 
     @pytest.mark.parametrize("cfg", [RoadConfig(), RoadConfig(scan_range=9, lane_speed_limit=(3, 1))])
     def test_matches_brute_force_on_random_worlds(self, cfg):
+        road = Road(cfg)
         rng = Rng(7)
         for seed in range(2000):
-            w = spawn_world(cfg, Rng(seed))
-            agent = VehicleState(rng.randrange(2), rng.randrange(cfg.length), rng.randrange(4))
-            if (agent.lane, agent.pos) in cells(w, cfg):
+            lanes = spawn_world(cfg, Rng(seed))
+            lane, pos, _speed = rng.randrange(2), rng.randrange(cfg.length), rng.randrange(4)
+            if (lane, pos) in cells(lanes, cfg):
                 continue
-            w = WorldState(agent, w.lanes, 0)
-            reading, speeds = scan_full(w, cfg)
-            assert (reading.dist, speeds) == brute_force_scan(w, cfg)
+            obs = scan_full(road, *lanes, lane, pos)
+            assert (obs[:7], obs[7:]) == brute_force_scan(lanes, lane, pos, cfg)
 
     def test_neighbor_speeds_match_blockers(self):
-        cfg = RoadConfig()
-        w = world_with((0, 30, 1), [(0, 33), (1, 28), (1, 30)])
-        reading, speeds = scan_full(w, cfg)
-        assert reading.dist[0] == 2 and speeds[0] == 1     # front blocker in lane 0
-        assert reading.dist[5] == 1 and speeds[5] == 2     # rear diag blocker in lane 1
-        assert reading.dist[4] == 0 and speeds[4] == 2     # lateral occupied
-        assert speeds[3] is None                           # wall, not a vehicle
+        dist, speeds = sense(0, 30, [(0, 33), (1, 28), (1, 30)])
+        assert dist[0] == 2 and speeds[0] == 1     # front blocker in lane 0
+        assert dist[5] == 1 and speeds[5] == 2     # rear diag blocker in lane 1
+        assert dist[4] == 0 and speeds[4] == 2     # lateral occupied
+        assert speeds[3] == NO_VEHICLE             # wall, not a vehicle
 
 
 class TestApplyAction:
     def test_unobstructed_advance(self):
-        cfg = RoadConfig()
-        out = apply_action(world_with((0, 10, 1)), ActionPair(Dir.STAY, Spd.KEEP), cfg)
-        assert out.next.agent == VehicleState(0, 11, 1)
-        assert out.event is Event.ALIVE
+        assert step((0, 10, 1), act(Dir.STAY, Spd.KEEP)) == ([], (0, 11, 1), ALIVE)
 
     def test_bump_left_off_road(self):
-        cfg = RoadConfig()
-        out = apply_action(world_with((0, 10, 1)), ActionPair(Dir.LEFT, Spd.KEEP), cfg)
-        assert out.event is Event.BUMP
-        assert out.next.agent.pos == 10 and out.next.agent.lane == 0
+        _, (lane, pos, _), event = step((0, 10, 1), act(Dir.LEFT, Spd.KEEP))
+        assert event == BUMP
+        assert pos == 10 and lane == 0
 
     def test_bump_sweeps_no_cell(self):
         # an obstacle landing on the cell ahead would be a crash for a move; a bump does not move
-        cfg = RoadConfig()
-        out = apply_action(world_with((0, 10, 1), [(0, 10)]), ActionPair(Dir.LEFT, Spd.KEEP), cfg)
-        assert cells(out.next, cfg) == [(0, 11)]
-        assert out.event is Event.BUMP
-        assert out.next.agent == VehicleState(0, 10, 1)
+        assert step((0, 10, 1), act(Dir.LEFT, Spd.KEEP), [(0, 10)]) == ([(0, 11)], (0, 10, 1), BUMP)
 
     def test_bump_still_updates_speed(self):
-        cfg = RoadConfig()
-        out = apply_action(world_with((0, 10, 1)), ActionPair(Dir.LEFT, Spd.INC), cfg)
-        assert out.event is Event.BUMP
-        assert out.next.agent.speed == 2
+        _, agent, event = step((0, 10, 1), act(Dir.LEFT, Spd.INC))
+        assert event == BUMP
+        assert agent[2] == 2
 
     def test_crash_on_swept_cell(self):
         # hand-stepped: obstacle 12->13; agent speed 2->3 sweeps 11,12,13
-        cfg = RoadConfig()
-        out = apply_action(world_with((0, 10, 2), [(0, 12)]), ActionPair(Dir.STAY, Spd.INC), cfg)
-        assert out.next.agent.speed == 3
-        assert out.event is Event.CRASH
+        _, agent, event = step((0, 10, 2), act(Dir.STAY, Spd.INC), [(0, 12)])
+        assert agent[2] == 3
+        assert event == CRASH
 
     @pytest.mark.parametrize("lane_change", [Dir.STAY, Dir.RIGHT])
     def test_swept_cells_are_exactly_the_new_lane_ahead(self, lane_change):
         # agent (0, 10) at new speed 3 into lane 0 or 1 sweeps (lane, 11..13) after obstacles move
         cfg = RoadConfig()
         lane = lane_change - Dir.STAY
-        action = ActionPair(lane_change, Spd.INC)
         for landing in range(8, 18):
             for obstacle_lane in (0, 1):
                 start = landing - cfg.lane_speed_limit[obstacle_lane]
-                w = world_with((0, 10, 2), [(obstacle_lane, start)])
-                out = apply_action(w, action, cfg)
+                _, agent, event = step((0, 10, 2), act(lane_change, Spd.INC), [(obstacle_lane, start)])
                 swept = obstacle_lane == lane and 11 <= landing <= 13
-                assert out.event is (Event.CRASH if swept else Event.ALIVE), (landing, obstacle_lane)
-                assert out.next.agent == VehicleState(lane, 13, 3)
+                assert event == (CRASH if swept else ALIVE), (landing, obstacle_lane)
+                assert agent == (lane, 13, 3)
 
     def test_goal_at_road_end(self):
-        cfg = RoadConfig()
-        out = apply_action(world_with((1, 64, 2)), ActionPair(Dir.STAY, Spd.KEEP), cfg)
-        assert out.event is Event.GOAL
-        assert out.next.agent.pos == 66
+        _, agent, event = step((1, 64, 2), act(Dir.STAY, Spd.KEEP))
+        assert event == GOAL
+        assert agent[1] == 66
 
     def test_obstacles_advance_and_despawn(self):
-        cfg = RoadConfig()
-        w = world_with((0, 0, 1), [(1, 64), (0, 10)])
-        out = apply_action(w, ActionPair(Dir.STAY, Spd.KEEP), cfg)
-        assert cells(out.next, cfg) == [(0, 11)]
+        assert step((0, 0, 1), act(Dir.STAY, Spd.KEEP), [(1, 64), (0, 10)])[0] == [(0, 11)]
 
     def test_speed_clamping(self):
-        cfg = RoadConfig()
-        out = apply_action(world_with((0, 10, 0)), ActionPair(Dir.STAY, Spd.DEC), cfg)
-        assert out.next.agent.speed == 0
-        out = apply_action(world_with((0, 10, 3)), ActionPair(Dir.STAY, Spd.INC), cfg)
-        assert out.next.agent.speed == 3
+        assert step((0, 10, 0), act(Dir.STAY, Spd.DEC))[1][2] == 0
+        assert step((0, 10, 3), act(Dir.STAY, Spd.INC))[1][2] == 3
 
     def test_determinism(self):
-        cfg = RoadConfig()
-        w = spawn_world(cfg, Rng(3))
-        for a in ACTIONS:
-            assert apply_action(w, a, cfg) == apply_action(w, a, cfg)
+        road = Road(RoadConfig())
+        lanes = spawn_world(RoadConfig(), Rng(3))
+        for a in range(N_ACTIONS):
+            assert apply_action(road, *lanes, *AGENT_START, a) == apply_action(road, *lanes, *AGENT_START, a)
 
-    def test_step_counter_and_pos_monotone(self):
+    def test_pos_monotone_and_traffic_advances(self):
         cfg = RoadConfig()
-        w = spawn_world(cfg, Rng(5))
+        road = Road(cfg)
+        lanes, agent = spawn_world(cfg, Rng(5)), AGENT_START
         rng = Rng(11)
         for _ in range(100):
-            a = ACTIONS[rng.randrange(9)]
-            out = apply_action(w, a, cfg)
-            assert out.next.step == w.step + 1
-            assert out.next.agent.pos >= w.agent.pos
-            if out.event is not Event.BUMP:
-                assert 0 <= out.next.agent.lane < cfg.lanes
+            b0, b1, lane, pos, speed, event = apply_action(road, *lanes, *agent, rng.randrange(9))
+            assert pos >= agent[1]
+            if event != BUMP:
+                assert 0 <= lane < cfg.lanes
             # every obstacle moves at its lane's speed and leaves at the road end
-            moved = sorted((lane, pos + cfg.lane_speed_limit[lane]) for lane, pos in cells(w, cfg)
-                           if pos + cfg.lane_speed_limit[lane] < cfg.length)
-            assert cells(out.next, cfg) == moved
-            if out.event in (Event.GOAL, Event.CRASH, Event.BUMP):
+            moved = sorted((ln, p + cfg.lane_speed_limit[ln]) for ln, p in cells(lanes, cfg)
+                           if p + cfg.lane_speed_limit[ln] < cfg.length)
+            assert cells((b0, b1), cfg) == moved
+            if event in (GOAL, CRASH, BUMP):
                 break
-            w = out.next
+            lanes, agent = (b0, b1), (lane, pos, speed)
 
 
 class TestReward:
@@ -269,48 +265,50 @@ class TestReward:
         self.road = RoadConfig(agent_speed_limit=(1, 2))
 
     def test_alive_cruise_left_lane(self):
-        r = reward(Event.ALIVE, ActionPair(Dir.STAY, Spd.KEEP), 1, 0, self.rc, self.road)
+        r = reward(Event.ALIVE, Dir.STAY, 1, 0, self.rc, self.road)
         assert r == pytest.approx(0.2, abs=1e-12)
 
     def test_crash_with_shift_below_limit(self):
-        r = reward(Event.CRASH, ActionPair(Dir.RIGHT, Spd.KEEP), 2, 1, self.rc, self.road)
+        r = reward(Event.CRASH, Dir.RIGHT, 2, 1, self.rc, self.road)
         assert r == pytest.approx(-12.1, abs=1e-12)
 
     def test_overspeed_penalty(self):
-        r = reward(Event.ALIVE, ActionPair(Dir.STAY, Spd.KEEP), 3, 1, self.rc, self.road)
+        r = reward(Event.ALIVE, Dir.STAY, 3, 1, self.rc, self.road)
         assert r == pytest.approx(-5.9, abs=1e-12)
 
     def test_default_limit_is_max_agent_speed(self):
         road = RoadConfig()
-        r = reward(Event.ALIVE, ActionPair(Dir.STAY, Spd.KEEP), 3, 1, self.rc, road)
+        r = reward(Event.ALIVE, Dir.STAY, 3, 1, self.rc, road)
         assert r == pytest.approx(0.4, abs=1e-12)
 
     def test_goal_same_as_alive_base(self):
-        a = reward(Event.GOAL, ActionPair(Dir.STAY, Spd.KEEP), 1, 0, self.rc, self.road)
-        b = reward(Event.ALIVE, ActionPair(Dir.STAY, Spd.KEEP), 1, 0, self.rc, self.road)
+        a = reward(Event.GOAL, Dir.STAY, 1, 0, self.rc, self.road)
+        b = reward(Event.ALIVE, Dir.STAY, 1, 0, self.rc, self.road)
         assert a == b
 
     def test_bump_speed_term_below_limit(self):
-        r = reward(Event.BUMP, ActionPair(Dir.LEFT, Spd.KEEP), 1, 0, self.rc, self.road)
+        r = reward(Event.BUMP, Dir.LEFT, 1, 0, self.rc, self.road)
         assert r == pytest.approx(-10.0 - 0.1 - 1.0, abs=1e-12)
 
     def test_components_are_additive(self):
         # base, shift and speed terms contribute independently
-        base = reward(Event.ALIVE, ActionPair(Dir.STAY, Spd.KEEP), 0, 0, self.rc, self.road)
-        shifted = reward(Event.ALIVE, ActionPair(Dir.LEFT, Spd.KEEP), 0, 0, self.rc, self.road)
-        sped = reward(Event.ALIVE, ActionPair(Dir.STAY, Spd.KEEP), 1, 0, self.rc, self.road)
-        both = reward(Event.ALIVE, ActionPair(Dir.LEFT, Spd.KEEP), 1, 0, self.rc, self.road)
+        base = reward(Event.ALIVE, Dir.STAY, 0, 0, self.rc, self.road)
+        shifted = reward(Event.ALIVE, Dir.LEFT, 0, 0, self.rc, self.road)
+        sped = reward(Event.ALIVE, Dir.STAY, 1, 0, self.rc, self.road)
+        both = reward(Event.ALIVE, Dir.LEFT, 1, 0, self.rc, self.road)
         assert shifted - base == pytest.approx(self.rc.shift_penalty, abs=1e-12)
         assert sped - base == pytest.approx(0.1, abs=1e-12)
         assert both - base == pytest.approx(self.rc.shift_penalty + 0.1, abs=1e-12)
 
     def test_reward_total_over_all_inputs(self):
         for event in Event:
-            for action in ACTIONS:
+            for direction in Dir:
                 for speed in range(4):
                     for lane in range(2):
-                        value = reward(event, action, speed, lane, self.rc, self.road)
+                        value = reward(event, direction, speed, lane, self.rc, self.road)
                         assert isinstance(value, float)
+                        # an int event, as apply_action returns it, reads the same
+                        assert reward(int(event), direction, speed, lane, self.rc, self.road) == value
 
 
 class TestConfigIO:
