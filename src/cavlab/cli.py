@@ -21,6 +21,7 @@ from dataclasses import asdict
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__, imitation, qlearn, rsu, world
+from .config import ConfigError, check_types
 from .rnn import TrainingError
 
 TOOL = "cavlab"
@@ -68,14 +69,6 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _check_types(config: dict, types: dict) -> None:
-    """Raise TypeError for a setting of the wrong type: a bool is no int, an int is a float."""
-    for key, kind in types.items():
-        value = config[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-            raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
-
-
 @contextlib.contextmanager
 def _invalid_config(source: str):
     """Report a missing key, a wrong type or an out-of-range value as a CliError."""
@@ -89,6 +82,9 @@ def _invalid_config(source: str):
 
 def _sim_sections(doc: dict) -> dict:
     """The road and reward sections of a `--config` document, with every default filled in."""
+    unknown = set(doc) - {"road", "reward", "learn"}
+    if unknown:
+        raise ConfigError(f"unknown sections {sorted(unknown)}; expected road, reward and learn")
     return {
         "road": asdict(world.RoadConfig.from_dict(doc.get("road", {}))),
         "reward": asdict(world.RewardConfig.from_dict(doc.get("reward", {}))),
@@ -143,8 +139,7 @@ def _run_sim_eval(config: dict, outputs: dict) -> str:
     with _invalid_config("sim-eval"):
         road = world.RoadConfig.from_dict(config["road"])
         reward = world.RewardConfig.from_dict(config["reward"])
-        _check_types(config, {"seed": int, "runs": int})
-        seed, runs = config["seed"], config["runs"]
+        seed, runs = check_types(config, {"seed": int, "runs": int}).values()
     path = config["qtable"]
     try:
         with _file_errors("read", path), open(path, "r", encoding="utf-8") as fh:
@@ -177,9 +172,8 @@ def _run_ingest(config: dict, outputs: dict) -> str:
         f = config["filter"]
         zone = imitation.MergeZone(f["zone_x_min"], f["zone_x_max"], f["zone_lane_prefix"])
         filt = imitation.FilterConfig(d_min=f["d_min"], merge_zone=zone, t_min=f["t_min"], t_max=f["t_max"])
-        enc = imitation.EncoderConfig(**config["encoder"])
-        _check_types(config, {"ego": str})
-        ego = config["ego"]
+        enc = imitation.EncoderConfig.from_dict(config["encoder"])
+        ego = check_types(config, {"ego": str})["ego"]
     xml = config["xml"]
     try:
         with _file_errors("read", xml), open(xml, "rb") as fh:
@@ -225,7 +219,7 @@ def _resolve_imitate_train(args) -> list:
 
 def _run_imitate_train(config: dict, outputs: dict) -> str:
     with _invalid_config("imitate-train"):
-        _check_types(config, {"split": float, "hidden": int, "epochs": int, "patience": int, "lr": float, "seed": int})
+        check_types(config, {"split": float, "hidden": int, "epochs": int, "patience": int, "lr": float, "seed": int})
         settings = {"split_ratio": config["split"], "hidden_dim": config["hidden"], "epochs": config["epochs"],
                     "patience": config["patience"], "lr": config["lr"], "seed": config["seed"]}
     samples = _read_samples(config["dataset"])
@@ -327,6 +321,8 @@ def cmd_rsu_fetch(args) -> int:
     host, _, port = args.endpoint.rpartition(":")
     if not host or not port.isdigit():
         raise CliError(f"endpoint must be host:port, got {args.endpoint!r}")
+    if not 0 < args.timeout < math.inf:
+        raise CliError(f"--timeout must be > 0 and finite, got {args.timeout}")
     try:
         artifact = rsu.fetch(host, int(port), args.id, args.x, args.y, timeout=args.timeout)
     except rsu.RsuError as exc:
@@ -460,7 +456,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (CliError, world.ConfigError, world.SpawnError) as exc:
+    except (CliError, ConfigError, world.SpawnError) as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except KeyboardInterrupt:

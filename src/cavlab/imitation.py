@@ -25,13 +25,14 @@ import io
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 from xml.parsers import expat
 
 import numpy as np
 
 from . import rnn
+from .config import Config
 from .rng import Rng
 
 
@@ -186,25 +187,15 @@ def parse_fcd(data) -> list[Timestep]:
     return handler.timesteps
 
 
-def extract_ego_sequences(timesteps: Sequence[Timestep], ego_selector) -> list[Trajectory]:
-    """One Trajectory per contiguous presence run of each selected ego.
+def extract_ego_sequences(timesteps: Sequence[Timestep], ego_pattern: str) -> list[Trajectory]:
+    """One Trajectory per contiguous presence run of each ego whose id matches the glob `ego_pattern`.
 
-    ego_selector is a glob pattern on vehicle id or a predicate Snapshot->bool.
     A vehicle that vanishes and reappears yields separate trajectories, in
-    order of first selection, then of time. A predicate is tried on each
-    snapshot until it first holds; the trajectories cover the whole presence.
-    Vehicle ids are unique within a timestep, as parse_fcd enforces.
+    order of the ids' first appearance, then of time. Vehicle ids are unique
+    within a timestep, as parse_fcd enforces.
     """
-    if callable(ego_selector):
-        chosen: dict[str, None] = {}  # ids in order of first selection
-        for ts in timesteps:
-            for snap in ts.snapshots:
-                if snap.vehicle_id not in chosen and ego_selector(snap):
-                    chosen[snap.vehicle_id] = None
-        ego_ids = list(chosen)
-    else:  # a glob reads only the id: test each id once, in order of first appearance
-        ids = dict.fromkeys(snap.vehicle_id for ts in timesteps for snap in ts.snapshots)
-        ego_ids = fnmatch.filter(ids, ego_selector)
+    ids = dict.fromkeys(snap.vehicle_id for ts in timesteps for snap in ts.snapshots)
+    ego_ids = fnmatch.filter(ids, ego_pattern)
 
     runs: dict[str, list[Trajectory]] = {vid: [] for vid in ego_ids}
     open_runs: dict[str, list[TrajectoryStep]] = {}
@@ -224,7 +215,7 @@ def extract_ego_sequences(timesteps: Sequence[Timestep], ego_selector) -> list[T
 
 
 @dataclass(frozen=True)
-class MergeZone:
+class MergeZone(Config):
     x_min: float
     x_max: float
     lane_prefix: str = ""
@@ -238,13 +229,13 @@ class MergeZone:
 
 
 @dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(Config):
     d_min: float = 2.0
     merge_zone: MergeZone = MergeZone(-math.inf, math.inf)
     t_min: int = 10
     t_max: int = 500
 
-    def __post_init__(self):
+    def check(self):
         if not self.d_min > 0:  # also rejects NaN, which would pass every distance check
             raise ValueError("d_min must be > 0")
         if self.t_min > self.t_max:
@@ -279,12 +270,12 @@ def classify_positive(traj: Trajectory, cfg: FilterConfig) -> Classification:
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(Config):
     k: int = 4           # neighbor slots
     v_norm: float = 30.0  # m/s full scale
     d_norm: float = 50.0  # m full scale
 
-    def __post_init__(self):
+    def check(self):
         # written to reject NaN scales too, which would make every feature NaN
         if self.k < 0 or not (self.v_norm > 0 and self.d_norm > 0):
             raise ValueError("invalid encoder configuration")
@@ -386,7 +377,6 @@ class PolicyArtifact:
     model_cfg: rnn.ModelConfig
     encoder: EncoderConfig
     params: dict[str, np.ndarray]
-    version: int = ARTIFACT_VERSION
 
     def build_model(self) -> rnn.SeqModel:
         return rnn.SeqModel(self.model_cfg, *(self.params[n].copy() for n in rnn.SeqModel.PARAM_NAMES))
@@ -398,20 +388,10 @@ class PolicyArtifact:
 
 
 def _artifact_payload(artifact: PolicyArtifact) -> dict:
-    mc = artifact.model_cfg
     return {
-        "format_version": artifact.version,
-        "model": {
-            "input_dim": mc.input_dim,
-            "output_dim": mc.output_dim,
-            "hidden_dim": mc.hidden_dim,
-            "seed": mc.seed,
-        },
-        "encoder": {
-            "k": artifact.encoder.k,
-            "v_norm": artifact.encoder.v_norm,
-            "d_norm": artifact.encoder.d_norm,
-        },
+        "format_version": ARTIFACT_VERSION,
+        "model": asdict(artifact.model_cfg),
+        "encoder": asdict(artifact.encoder),
         "params": {name: arr.ravel().tolist() for name, arr in artifact.params.items()},
     }
 

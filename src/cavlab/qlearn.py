@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from .config import Config
 from .rng import Rng
 from .world import (
     AGENT_START,
@@ -34,7 +35,6 @@ from .world import (
     Road,
     RoadConfig,
     RewardConfig,
-    _checked_fields,
     apply_action,
     reward_table,
     scan_full,
@@ -62,9 +62,6 @@ class QTable:
     def __init__(self, v2v: bool = False):
         self.entries: dict[StateKey, list[float]] = {}
         self.v2v = v2v
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def to_json(self) -> str:
         entries = [
@@ -127,7 +124,7 @@ def select_action(entries: dict, s: StateKey, epsilon: float, rng: Optional[Rng]
 
 
 @dataclass(frozen=True)
-class LearnConfig:
+class LearnConfig(Config):
     alpha: float = 0.4
     gamma: float = 0.95
     episodes: int = 100_000
@@ -138,7 +135,7 @@ class LearnConfig:
     v2v: bool = False
     bucket: int = 1000
 
-    def __post_init__(self):
+    def check(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must be in [0, 1]")
         if not 0.0 <= self.gamma < 1.0:
@@ -147,10 +144,6 @@ class LearnConfig:
             raise ConfigError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if self.episodes < 0 or self.bucket < 1 or self.epsilon_decay_episodes < 0:
             raise ConfigError("episodes >= 0, bucket >= 1, decay episodes >= 0")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LearnConfig":
-        return cls(**_checked_fields(cls, d))
 
 
 def epsilon_at(cfg: LearnConfig, episode: int) -> float:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .config import Config
 from .rng import Rng
 
 
@@ -33,13 +34,13 @@ class TrainingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Config):
     input_dim: int
     output_dim: int
     hidden_dim: int = 32
     seed: int = 0
 
-    def __post_init__(self):
+    def check(self):
         if min(self.input_dim, self.output_dim, self.hidden_dim) < 1:
             raise ValueError("all dimensions must be >= 1")
 
@@ -84,14 +85,14 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-class ForwardCache:
-    """Per-step activations retained for the backward pass."""
+class ForwardCache(NamedTuple):
+    """Per-step activations retained for the backward pass, one row per step."""
 
-    __slots__ = ("xs", "i", "f", "g", "o", "c", "tc", "h", "ys")
-
-    def __init__(self, xs, i, f, g, o, c, tc, h, ys):
-        self.xs, self.i, self.f, self.g, self.o = xs, i, f, g, o
-        self.c, self.tc, self.h, self.ys = c, tc, h, ys
+    xs: np.ndarray
+    gates: np.ndarray  # (T, 4h): i, f, g, o after their nonlinearities
+    c: np.ndarray
+    h: np.ndarray
+    ys: np.ndarray
 
 
 def forward(model: SeqModel, xs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -104,9 +105,8 @@ def forward(model: SeqModel, xs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     if T < 1:
         raise ValueError("sequence must have at least one step")
 
-    i_s = np.empty((T, hdim)); f_s = np.empty((T, hdim))
-    g_s = np.empty((T, hdim)); o_s = np.empty((T, hdim))
-    c_s = np.empty((T, hdim)); tc_s = np.empty((T, hdim))
+    gates = np.empty((T, 4 * hdim))
+    c_s = np.empty((T, hdim))
     h_s = np.empty((T, hdim))
     ys = np.empty((T, model.cfg.output_dim))
 
@@ -114,17 +114,14 @@ def forward(model: SeqModel, xs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     c = np.zeros(hdim)
     for t in range(T):
         z = model.wx @ xs[t] + model.wh @ h + model.b
-        i = _sigmoid(z[:hdim])
-        f = _sigmoid(z[hdim : 2 * hdim])
-        g = np.tanh(z[2 * hdim : 3 * hdim])
-        o = _sigmoid(z[3 * hdim :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        i_s[t], f_s[t], g_s[t], o_s[t] = i, f, g, o
-        c_s[t], tc_s[t], h_s[t] = c, tc, h
+        gate = gates[t]
+        gate[:] = _sigmoid(z)
+        gate[2 * hdim : 3 * hdim] = np.tanh(z[2 * hdim : 3 * hdim])
+        c = gate[hdim : 2 * hdim] * c + gate[:hdim] * gate[2 * hdim : 3 * hdim]
+        h = gate[3 * hdim :] * np.tanh(c)
+        c_s[t], h_s[t] = c, h
         ys[t] = model.wy @ h + model.by
-    return ys, ForwardCache(xs, i_s, f_s, g_s, o_s, c_s, tc_s, h_s, ys)
+    return ys, ForwardCache(xs, gates, c_s, h_s, ys)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -155,8 +152,9 @@ def backward(model: SeqModel, cache: ForwardCache, target: np.ndarray) -> dict[s
     dc_next = np.zeros(hdim)
     dz = np.empty(4 * hdim)
     for t in range(T - 1, -1, -1):
-        i, f, g, o = cache.i[t], cache.f[t], cache.g[t], cache.o[t]
-        tc = cache.tc[t]
+        gate = cache.gates[t]
+        i, f, g, o = gate[:hdim], gate[hdim : 2 * hdim], gate[2 * hdim : 3 * hdim], gate[3 * hdim :]
+        tc = np.tanh(cache.c[t])
         dh = model.wy.T @ d_y[t] + dh_next
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next

@@ -18,6 +18,7 @@ across requests.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import sys
 import threading
@@ -25,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .config import Config
 from .imitation import PolicyArtifact, artifact_from_doc, load_artifact
 
 MAX_REQUEST = 4 * 1024  # a hello is ~60 bytes; bounds what each connection may buffer
@@ -44,13 +46,13 @@ class RsuProtocolError(RsuError):
 
 
 @dataclass(frozen=True)
-class Geofence:
+class Geofence(Config):
     x_min: float
     x_max: float
     y_min: float
     y_max: float
 
-    def __post_init__(self):
+    def check(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("geofence must have x_min < x_max and y_min < y_max")
 
@@ -60,7 +62,7 @@ class Geofence:
 
 
 @dataclass(frozen=True)
-class RsuConfig:
+class RsuConfig(Config):
     host: str = "127.0.0.1"
     port: int = 0  # 0: ephemeral
     geofence: Geofence = field(default_factory=lambda: Geofence(0.0, 100.0, 0.0, 100.0))
@@ -68,21 +70,14 @@ class RsuConfig:
     max_connections: int = 16
     timeout: float = 5.0
 
-    def __post_init__(self):
+    def check(self):
         # a cap of 0 would block the accept loop forever on its semaphore
         if self.max_connections < 1:
             raise ValueError(f"max_connections must be >= 1, got {self.max_connections}")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be > 0 and finite, got {self.timeout}")
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port must be in 0..65535, got {self.port}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RsuConfig":
-        d = dict(d)
-        if "geofence" in d:
-            d["geofence"] = Geofence(**d["geofence"])
-        return cls(**d)
 
 
 def handle_request(msg, geofence: Geofence, artifact_doc: dict) -> dict:

@@ -37,15 +37,12 @@ constants of one RoadConfig.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
+from .config import Config, ConfigError
 from .rng import Rng
-
-
-class ConfigError(ValueError):
-    """Invalid configuration value or unknown configuration key."""
 
 
 class SpawnError(ValueError):
@@ -75,7 +72,7 @@ N_ACTIONS = 9  # index dir * 3 + spd: 0 = (Left, Dec) ... 8 = (Right, Inc)
 
 
 @dataclass(frozen=True)
-class RoadConfig:
+class RoadConfig(Config):
     length: int = 66
     lanes: int = 2
     lane_speed_limit: tuple[int, ...] = (1, 2)
@@ -85,16 +82,9 @@ class RoadConfig:
     max_steps: int = 200
     agent_speed_limit: Optional[tuple[int, ...]] = None  # None: max_agent_speed per lane
 
-    def __post_init__(self):
-        # every field is an int or a per-lane tuple of ints; a bool or a float is refused
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name.endswith("speed_limit"):
-                value = (self.max_agent_speed,) * self.lanes if value is None else tuple(value)
-                object.__setattr__(self, f.name, value)
-            for v in value if isinstance(value, tuple) else (value,):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ConfigError(f"{f.name} needs ints, got {value!r}")
+    def check(self):
+        if self.agent_speed_limit is None:
+            object.__setattr__(self, "agent_speed_limit", (self.max_agent_speed,) * self.lanes)
         if self.length < 2:
             raise ConfigError(f"length must be >= 2, got {self.length}")
         if self.lanes != 2:
@@ -118,38 +108,21 @@ class RoadConfig:
         if self.max_steps < 0:
             raise ConfigError("max_steps must be >= 0")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RoadConfig":
-        return cls(**_checked_fields(cls, d))
-
 
 @dataclass(frozen=True)
-class RewardConfig:
+class RewardConfig(Config):
     alive_or_goal: float = 0.1
     shift_penalty: float = -0.1
     crash_or_bump: float = -10.0
     speed_bonus_divisor: float = 10.0
     overspeed_factor: float = 2.0
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+    def check(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.speed_bonus_divisor == 0:
             raise ConfigError("speed_bonus_divisor must not be 0")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RewardConfig":
-        return cls(**_checked_fields(cls, d))
-
-
-def _checked_fields(cls, d: dict) -> dict:
-    names = {f.name for f in fields(cls)}
-    unknown = set(d) - names
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return dict(d)
 
 
 AGENT_START = (0, 0, 1)  # (lane, pos, speed) of the agent in every spawned world

@@ -58,7 +58,7 @@ class TestSimTrain:
         assert lines[0].startswith("bucket,episodes,avg_time_to_goal")
         assert len(lines) == 4  # 1500 episodes / 500 bucket
         table = QTable.from_json(q.read_text())
-        assert len(table) > 0
+        assert len(table.entries) > 0
         manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "sim-train"
         assert manifest["config"]["learn"]["seed"] == 1
@@ -394,18 +394,28 @@ class TestReplay:
         ("imitate-train", "split", "0.8"),
         ("imitate-train", "lr", None),
         ("ingest", "ego", 5),
+        ("ingest", "filter.zone_x_min", "0"),
+        ("ingest", "filter.zone_lane_prefix", 5),
+        ("ingest", "filter.t_min", 10.5),
+        ("ingest", "encoder.k", 2.5),
+        ("ingest", "encoder.k", True),
     ], ids=["sim-eval-runs", "sim-eval-seed", "epochs", "hidden", "patience", "imitate-train-seed", "split",
-            "lr", "ego"])
+            "lr", "ego", "zone-x-min-str", "zone-lane-prefix-int", "t-min-float", "k-float", "k-bool"])
     def test_wrong_setting_type_exit_1(self, tmp_path, recorded, capsys, sub, key, value):
         path = tmp_path / f"{RECORDED[sub][0]}.manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["config"][key] = value
+        *sections, name = key.split(".")
+        settings = manifest["config"]
+        for section in sections:
+            settings = settings[section]
+        settings[name] = value
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
         code, out_dir = self.replay(tmp_path, sub)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("cavlab: error:") and f"{key} must be" in err
+        # the filter's zone_* settings are the fields of its MergeZone
+        assert err.startswith("cavlab: error:") and f"{name.removeprefix('zone_')} must be" in err
         assert list(out_dir.iterdir()) == []
 
 
@@ -425,7 +435,13 @@ def workspace(tmp_path_factory):
                       ("road-lane-bool", {"road": {"lane_speed_limit": [1, True]}}),
                       ("reward-str", {"reward": {"alive_or_goal": "x"}}),
                       ("reward-nan", {"reward": {"crash_or_bump": float("nan")}}),
-                      ("reward-div-0", {"reward": {"speed_bonus_divisor": 0}})):
+                      ("reward-div-0", {"reward": {"speed_bonus_divisor": 0}}),
+                      ("learn-episodes-float", {"learn": {"episodes": 3.5}}),
+                      ("learn-v2v-str", {"learn": {"v2v": "no"}}),
+                      ("learn-bucket-float", {"learn": {"bucket": 2.5}}),
+                      ("learn-alpha-bool", {"learn": {"alpha": True}}),
+                      ("learn-decay-float", {"learn": {"epsilon_decay_episodes": 2.5}}),
+                      ("unknown-section", {"raod": {"length": 5}, "learn": {"episodes": 3}})):
         (root / f"{name}.json").write_text(json.dumps(doc))
     server = RsuServer(RsuConfig(geofence=Geofence(0.0, 200.0, -10.0, 10.0)),
                        artifact_doc=load_artifact(root / "p.json").to_doc())
@@ -438,6 +454,7 @@ class TestBadInput:
     SIM = ["sim-train", "--episodes", 10, "--metrics-out", "{out}/m.csv", "--qtable-out", "{out}/q.json"]
     INGEST = ["ingest", "--xml", "{root}/log.xml", "--ego", "ego*", "--out", "{out}/d.jsonl"]
     TRAIN = ["imitate-train", "--dataset", "{root}/data.jsonl", "--epochs", 1, "--hidden", 4]
+    FETCH = ["rsu-fetch", "--endpoint", "{endpoint}", "--id", "car1", "--x", 50.0, "--y", 0.0]
 
     @pytest.mark.parametrize("argv", [
         INGEST + ["--d-min", 0],
@@ -462,12 +479,23 @@ class TestBadInput:
         SIM + ["--config", "{root}/reward-div-0.json"],
         ["imitate-eval", "--artifact", "{root}/missing.json", "--dataset", "{root}/data.jsonl",
          "--csv-out", "{out}/e.csv"],
-        ["rsu-fetch", "--endpoint", "{endpoint}", "--id", "car1", "--x", 50.0, "--y", 0.0,
-         "--out", "{out}/nodir/fetched.json"],
+        FETCH + ["--out", "{out}/nodir/fetched.json"],
+        SIM[:1] + SIM[3:] + ["--config", "{root}/learn-episodes-float.json"],  # --episodes would override it
+        SIM + ["--config", "{root}/learn-v2v-str.json"],
+        SIM + ["--config", "{root}/learn-bucket-float.json"],
+        SIM + ["--config", "{root}/learn-alpha-bool.json"],
+        SIM + ["--config", "{root}/learn-decay-float.json"],
+        SIM + ["--config", "{root}/unknown-section.json"],
+        FETCH + ["--timeout", -1, "--out", "{out}/fetched.json"],
+        FETCH + ["--timeout", "nan", "--out", "{out}/fetched.json"],
+        FETCH + ["--timeout", "inf", "--out", "{out}/fetched.json"],
     ], ids=["d-min-0", "d-min-nan", "neighbors-neg", "v-norm-nan", "t-min-gt-t-max", "hidden-0", "lr-neg", "lr-nan", "split-1.5",
             "artifact-out-no-dir", "config-road-int", "config-road-str", "config-learn-key", "seeds-not-int",
             "config-road-float", "config-road-steps-float", "config-road-lane-bool", "config-reward-str",
-            "config-reward-nan", "config-reward-div-0", "artifact-missing", "fetch-out-no-dir"])
+            "config-reward-nan", "config-reward-div-0", "artifact-missing", "fetch-out-no-dir",
+            "config-learn-episodes-float", "config-learn-v2v-str", "config-learn-bucket-float",
+            "config-learn-alpha-bool", "config-learn-decay-float", "config-unknown-section",
+            "fetch-timeout-neg", "fetch-timeout-nan", "fetch-timeout-inf"])
     def test_exit_1_with_message(self, workspace, tmp_path, capsys, argv):
         capsys.readouterr()
         assert run_cli(*(str(a).format(out=tmp_path, **workspace) for a in argv)) == 1
@@ -545,7 +573,8 @@ class TestRsuCli:
             assert not (tmp_path / "no.json").exists()
         finally:
             proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10.0) == 0
+            proc.communicate(timeout=10.0)
+        assert proc.returncode == 0
 
     def test_serve_reports_ephemeral_port(self, tmp_path, dataset):
         art = self.make_artifact(tmp_path, dataset)

@@ -169,7 +169,7 @@ class TestRunEpisodes:
         q = QTable()
         stats = list(run_episodes(road, RewardConfig(), q, 0, 3, LearnConfig(seed=0)))
         assert stats == [(0, ALIVE)] * 3
-        assert len(q) == 0
+        assert len(q.entries) == 0
 
     def test_deterministic_given_seed(self):
         road = RoadConfig()
@@ -210,7 +210,7 @@ class TestRunEpisodes:
         q = QTable()
         for _ in run_episodes(road, rew, q, cfg.seed, cfg.episodes, cfg):
             pass
-        assert len(q) > 0
+        assert len(q.entries) > 0
         learned = {k: list(v) for k, v in q.entries.items()}
         goals = sum(event == GOAL for _, event in run_episodes(road, rew, q, 100, 20))
         assert goals >= 10
@@ -314,7 +314,7 @@ class TestValueIterationOracle:
 class TestTrain:
     def test_zero_episodes(self):
         q, buckets = train(RoadConfig(), RewardConfig(), LearnConfig(episodes=0, seed=0))
-        assert len(q) == 0 and buckets == []
+        assert len(q.entries) == 0 and buckets == []
 
     def test_bucket_shapes_and_rates(self):
         road = RoadConfig(length=20, n_obstacles=2, max_steps=60)

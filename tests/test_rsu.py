@@ -59,6 +59,13 @@ class TestRsuConfig:
         {"port": -1},
         {"port": 65536},
         {"port": 70000},
+        {"geofence": {"x_min": "0", "x_max": "1", "y_min": "0", "y_max": "1"}},
+        {"max_connections": 1.5},
+        {"host": 5},
+        {"port": 0.5},
+        {"artifact_path": 7},
+        {"timeout": True},
+        {"timeout": float("inf")},
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
