@@ -113,9 +113,8 @@ def _resolve_sim_train(args) -> list:
 
 def _run_sim_train(config: dict, outputs: dict) -> None:
     with _invalid_config("sim-train"):
-        road = world.RoadConfig.from_dict(config["road"])
-        reward = world.RewardConfig.from_dict(config["reward"])
-        learn = qlearn.LearnConfig.from_dict(config["learn"])
+        road, reward, learn = check_types(config, {"road": world.RoadConfig, "reward": world.RewardConfig,
+                                                   "learn": qlearn.LearnConfig}).values()
     if road.max_steps * road.max_agent_speed < road.length:
         raise CliError(
             f"max_steps={road.max_steps} cannot traverse length={road.length} "
@@ -137,10 +136,8 @@ def _resolve_sim_eval(args) -> list:
 def _run_sim_eval(config: dict, outputs: dict) -> str:
     """Greedy rollouts of a saved Q-table, with a per-step trace."""
     with _invalid_config("sim-eval"):
-        road = world.RoadConfig.from_dict(config["road"])
-        reward = world.RewardConfig.from_dict(config["reward"])
-        seed, runs = check_types(config, {"seed": int, "runs": int}).values()
-    path = config["qtable"]
+        road, reward, path, seed, runs = check_types(config, {
+            "road": world.RoadConfig, "reward": world.RewardConfig, "qtable": str, "seed": int, "runs": int}).values()
     try:
         with _file_errors("read", path), open(path, "r", encoding="utf-8") as fh:
             table = qlearn.QTable.from_json(fh.read())
@@ -169,12 +166,12 @@ def _resolve_ingest(args) -> list:
 
 def _run_ingest(config: dict, outputs: dict) -> str:
     with _invalid_config("ingest"):
-        f = config["filter"]
+        xml, ego, f, enc = check_types(config, {"xml": str, "ego": str, "filter": dict,
+                                                "encoder": imitation.EncoderConfig}).values()
+        f = check_types(f, {"d_min": float, "zone_x_min": float, "zone_x_max": float, "zone_lane_prefix": str,
+                            "t_min": int, "t_max": int})
         zone = imitation.MergeZone(f["zone_x_min"], f["zone_x_max"], f["zone_lane_prefix"])
         filt = imitation.FilterConfig(d_min=f["d_min"], merge_zone=zone, t_min=f["t_min"], t_max=f["t_max"])
-        enc = imitation.EncoderConfig.from_dict(config["encoder"])
-        ego = check_types(config, {"ego": str})["ego"]
-    xml = config["xml"]
     try:
         with _file_errors("read", xml), open(xml, "rb") as fh:
             timesteps = imitation.parse_fcd(fh)
@@ -219,7 +216,8 @@ def _resolve_imitate_train(args) -> list:
 
 def _run_imitate_train(config: dict, outputs: dict) -> str:
     with _invalid_config("imitate-train"):
-        check_types(config, {"split": float, "hidden": int, "epochs": int, "patience": int, "lr": float, "seed": int})
+        check_types(config, {"dataset": str, "split": float, "hidden": int, "epochs": int, "patience": int,
+                             "lr": float, "seed": int})
         settings = {"split_ratio": config["split"], "hidden_dim": config["hidden"], "epochs": config["epochs"],
                     "patience": config["patience"], "lr": config["lr"], "seed": config["seed"]}
     samples = _read_samples(config["dataset"])
@@ -241,13 +239,13 @@ def _resolve_imitate_eval(args) -> list:
 
 
 def _run_imitate_eval(config: dict, outputs: dict) -> str:
-    path = config["artifact"]
+    path, dataset = check_types(config, {"artifact": str, "dataset": str}).values()
     try:
         with _file_errors("read", path):
             artifact = imitation.load_artifact(path)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    samples = _read_samples(config["dataset"])
+    samples = _read_samples(dataset)
     try:
         report = imitation.evaluate_policy(artifact, samples)
     except imitation.EncoderMismatchError as exc:
@@ -321,8 +319,8 @@ def cmd_rsu_fetch(args) -> int:
     host, _, port = args.endpoint.rpartition(":")
     if not host or not port.isdigit():
         raise CliError(f"endpoint must be host:port, got {args.endpoint!r}")
-    if not 0 < args.timeout < math.inf:
-        raise CliError(f"--timeout must be > 0 and finite, got {args.timeout}")
+    if not 0 < args.timeout <= rsu.MAX_TIMEOUT:
+        raise CliError(f"--timeout must be > 0 and <= {rsu.MAX_TIMEOUT}, got {args.timeout}")
     try:
         artifact = rsu.fetch(host, int(port), args.id, args.x, args.y, timeout=args.timeout)
     except rsu.RsuError as exc:

@@ -34,7 +34,10 @@ def _read(name: str, value, kind):
 
 
 def check_types(values: dict, kinds: dict) -> dict:
-    """The settings named in `kinds`, each read from `values` as its kind (a missing one is a KeyError)."""
+    """Each setting in `kinds`, read from `values` as its kind; a missing key raises KeyError, an extra one ConfigError."""
+    unknown = set(values) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown keys: {sorted(unknown)}")
     return {name: _read(name, values[name], kind) for name, kind in kinds.items()}
 
 

@@ -11,15 +11,15 @@ and receives exactly one of
     {"type": "none", "reason": "outside_geofence"}
     {"type": "error", "code": "bad_request", "detail": "..."}
 
-The served artifact document is loaded once at startup and byte-identical
-across requests.
+The served artifact document is loaded once, before the socket is made, and is
+byte-identical across requests; `RsuServer` is a `socketserver.ThreadingTCPServer`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import socket
+import socketserver
 import sys
 import threading
 import time
@@ -31,6 +31,7 @@ from .imitation import PolicyArtifact, artifact_from_doc, load_artifact
 
 MAX_REQUEST = 4 * 1024  # a hello is ~60 bytes; bounds what each connection may buffer
 MAX_LINE = 64 * 1024 * 1024  # guard against unbounded response lines
+MAX_TIMEOUT = threading.TIMEOUT_MAX  # the longest timeout a socket accepts (~292 years)
 
 
 class RsuError(Exception):
@@ -71,11 +72,11 @@ class RsuConfig(Config):
     timeout: float = 5.0
 
     def check(self):
-        # a cap of 0 would block the accept loop forever on its semaphore
+        # a cap of 0 would leave every connection waiting for a slot
         if self.max_connections < 1:
             raise ValueError(f"max_connections must be >= 1, got {self.max_connections}")
-        if not 0 < self.timeout < math.inf:
-            raise ValueError(f"timeout must be > 0 and finite, got {self.timeout}")
+        if not 0 < self.timeout <= MAX_TIMEOUT:
+            raise ValueError(f"timeout must be > 0 and <= {MAX_TIMEOUT}, got {self.timeout}")
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port must be in 0..65535, got {self.port}")
 
@@ -118,8 +119,13 @@ def _read_line(conn: socket.socket, limit: int, deadline: float) -> bytes:
     return b"".join(chunks).split(b"\n", 1)[0]
 
 
-class RsuServer:
+class RsuServer(socketserver.ThreadingTCPServer):
     """Threaded one-request-per-connection server around an immutable artifact."""
+
+    daemon_threads = True
+    block_on_close = False  # stop() does not wait for a handler blocked on a slow client
+    allow_reuse_address = True
+    request_queue_size = 64
 
     def __init__(self, cfg: RsuConfig, artifact_doc: Optional[dict] = None):
         self.cfg = cfg
@@ -131,46 +137,33 @@ class RsuServer:
         self._payload = (json.dumps({"type": "policy", "artifact": artifact_doc}) + "\n").encode("utf-8")
         self._slots = threading.Semaphore(cfg.max_connections)
         self._stop = threading.Event()
-        self._sock: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
+        self._serving: Optional[threading.Thread] = None
         self.requests_served = 0
         self._count_lock = threading.Lock()
+        super().__init__((cfg.host, cfg.port), None, bind_and_activate=False)  # no handler class: see finish_request
 
     @property
     def port(self) -> int:
-        if self._sock is None:
-            raise RuntimeError("server not started")
-        return self._sock.getsockname()[1]
+        return self.server_address[1]
 
     def start(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            sock.bind((self.cfg.host, self.cfg.port))
+            self.server_bind()
+            self.server_activate()
         except OSError:
-            sock.close()
+            self.server_close()
             raise
-        sock.listen(64)
-        sock.settimeout(0.2)  # lets the accept loop observe stop()
-        self._sock = sock
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._serving = threading.Thread(target=self.serve_forever, args=(0.2,), daemon=True)
+        self._serving.start()
 
-    def _accept_loop(self) -> None:
+    def verify_request(self, request, client_address) -> bool:
+        """Wait for a free slot; False (the connection is closed unanswered) once stop() is called."""
         while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            while not self._slots.acquire(timeout=0.2):  # every slot held: keep watching for stop()
-                if self._stop.is_set():
-                    conn.close()
-                    return
-            threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
+            if self._slots.acquire(timeout=0.2):
+                return True
+        return False
 
-    def _handle(self, conn: socket.socket) -> None:
+    def finish_request(self, conn, client_address) -> None:
         try:
             try:
                 line = _read_line(conn, MAX_REQUEST, time.monotonic() + self.cfg.timeout)
@@ -195,20 +188,16 @@ class RsuServer:
                 with self._count_lock:
                     self.requests_served -= 1
         finally:
-            try:
-                conn.close()
-            finally:
-                self._slots.release()
+            self._slots.release()
+
+    def handle_error(self, request, client_address) -> None:
+        raise  # a handler bug stays an unhandled exception in its thread
 
     def stop(self) -> None:
         self._stop.set()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
+        if self._serving is not None:  # shutdown() waits for serve_forever, so without it it never returns
+            self.shutdown()
+        self.server_close()
 
 
 def serve(cfg: RsuConfig) -> int:

@@ -317,6 +317,18 @@ def recorded(capsys, tmp_path, small_config, dataset):
 
 
 class TestReplay:
+    def set_setting(self, tmp_path, sub, key, value):
+        """Sets the dotted `key` in the config of the recorded `sub` manifest; returns its last part."""
+        path = tmp_path / f"{RECORDED[sub][0]}.manifest.json"
+        manifest = json.loads(path.read_text())
+        *sections, name = key.split(".")
+        settings = manifest["config"]
+        for section in sections:
+            settings = settings[section]
+        settings[name] = value
+        path.write_text(json.dumps(manifest))
+        return name
+
     def replay(self, tmp_path, sub):
         out_dir = tmp_path / "replay"
         out_dir.mkdir()
@@ -402,20 +414,30 @@ class TestReplay:
     ], ids=["sim-eval-runs", "sim-eval-seed", "epochs", "hidden", "patience", "imitate-train-seed", "split",
             "lr", "ego", "zone-x-min-str", "zone-lane-prefix-int", "t-min-float", "k-float", "k-bool"])
     def test_wrong_setting_type_exit_1(self, tmp_path, recorded, capsys, sub, key, value):
-        path = tmp_path / f"{RECORDED[sub][0]}.manifest.json"
-        manifest = json.loads(path.read_text())
-        *sections, name = key.split(".")
-        settings = manifest["config"]
-        for section in sections:
-            settings = settings[section]
-        settings[name] = value
-        path.write_text(json.dumps(manifest))
+        name = self.set_setting(tmp_path, sub, key, value)
         capsys.readouterr()
         code, out_dir = self.replay(tmp_path, sub)
         assert code == 1
         err = capsys.readouterr().err
         # the filter's zone_* settings are the fields of its MergeZone
         assert err.startswith("cavlab: error:") and f"{name.removeprefix('zone_')} must be" in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("sub, key", [
+        ("sim-train", "lern"),
+        ("sim-eval", "runz"),
+        ("ingest", "egoo"),
+        ("ingest", "filter.t_mni"),
+        ("imitate-train", "hiden"),
+        ("imitate-eval", "csv"),
+    ])
+    def test_unknown_setting_exit_1(self, tmp_path, recorded, capsys, sub, key):
+        name = self.set_setting(tmp_path, sub, key, 3)
+        capsys.readouterr()
+        code, out_dir = self.replay(tmp_path, sub)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cavlab: error:") and f"unknown keys: ['{name}']" in err
         assert list(out_dir.iterdir()) == []
 
 
@@ -489,13 +511,14 @@ class TestBadInput:
         FETCH + ["--timeout", -1, "--out", "{out}/fetched.json"],
         FETCH + ["--timeout", "nan", "--out", "{out}/fetched.json"],
         FETCH + ["--timeout", "inf", "--out", "{out}/fetched.json"],
+        FETCH + ["--timeout", 1e10, "--out", "{out}/fetched.json"],
     ], ids=["d-min-0", "d-min-nan", "neighbors-neg", "v-norm-nan", "t-min-gt-t-max", "hidden-0", "lr-neg", "lr-nan", "split-1.5",
             "artifact-out-no-dir", "config-road-int", "config-road-str", "config-learn-key", "seeds-not-int",
             "config-road-float", "config-road-steps-float", "config-road-lane-bool", "config-reward-str",
             "config-reward-nan", "config-reward-div-0", "artifact-missing", "fetch-out-no-dir",
             "config-learn-episodes-float", "config-learn-v2v-str", "config-learn-bucket-float",
             "config-learn-alpha-bool", "config-learn-decay-float", "config-unknown-section",
-            "fetch-timeout-neg", "fetch-timeout-nan", "fetch-timeout-inf"])
+            "fetch-timeout-neg", "fetch-timeout-nan", "fetch-timeout-inf", "fetch-timeout-1e10"])
     def test_exit_1_with_message(self, workspace, tmp_path, capsys, argv):
         capsys.readouterr()
         assert run_cli(*(str(a).format(out=tmp_path, **workspace) for a in argv)) == 1
@@ -597,6 +620,14 @@ class TestRsuCli:
         code = run_cli("rsu-fetch", "--endpoint", "127.0.0.1:1", "--id", "x",
                        "--x", 0.0, "--y", 0.0, "--timeout", 0.5, "--out", tmp_path / "a.json")
         assert code == 1
+
+    def test_serve_port_in_use_exit_1(self, tmp_path, dataset, capsys):
+        art = self.make_artifact(tmp_path, dataset)
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            cfg = self.rsu_config(tmp_path, art, taken.getsockname()[1])
+            capsys.readouterr()
+            assert run_cli("rsu-serve", "--config", cfg) == 1
+        assert "cannot bind" in capsys.readouterr().err
 
     def test_serve_missing_artifact_exit_1(self, tmp_path):
         cfg = self.rsu_config(tmp_path, tmp_path / "missing.json", free_port())

@@ -1,3 +1,4 @@
+import gc
 import json
 import socket
 import threading
@@ -66,6 +67,7 @@ class TestRsuConfig:
         {"artifact_path": 7},
         {"timeout": True},
         {"timeout": float("inf")},
+        {"timeout": 1e10},
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -158,17 +160,8 @@ class TestServeFetch:
     def test_corrupted_payload_fails_checksum(self, artifact_doc):
         bad = json.loads(json.dumps(artifact_doc))
         bad["params"]["by"][0] += 1.0
-        srv = RsuServer.__new__(RsuServer)  # bypass validation to serve a corrupt doc
-        cfg = RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0))
-        srv.cfg = cfg
-        srv._artifact_doc = bad
-        srv._payload = (json.dumps({"type": "policy", "artifact": bad}) + "\n").encode()
-        srv._slots = threading.Semaphore(cfg.max_connections)
-        srv._stop = threading.Event()
-        srv._sock = None
-        srv._accept_thread = None
-        srv.requests_served = 0
-        srv._count_lock = threading.Lock()
+        srv = RsuServer(RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0)), artifact_doc=artifact_doc)
+        srv._payload = (json.dumps({"type": "policy", "artifact": bad}) + "\n").encode()  # corrupt, set after validation
         srv.start()
         try:
             with pytest.raises(ChecksumMismatchError):
@@ -188,6 +181,14 @@ class TestServeFetch:
             assert fetch("127.0.0.1", srv.port, "car1", 50.0, 5.0) is not None
         finally:
             srv.stop()
+
+    def test_stop_without_start(self, artifact_doc):
+        srv = RsuServer(RsuConfig(), artifact_doc=artifact_doc)
+        start = time.perf_counter()
+        srv.stop()  # closes the unbound socket; a leak fails the test as a ResourceWarning
+        assert time.perf_counter() - start < 1.0
+        del srv
+        gc.collect()
 
     def test_stop_with_every_slot_held(self, artifact_doc):
         cfg = RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), max_connections=1, timeout=3.0)
