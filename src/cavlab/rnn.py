@@ -11,6 +11,11 @@ Cell (gate order i, f, g, o within the stacked 4h dimension):
 Gradients come from full (non-truncated) backpropagation through time; the
 optimizer is Adam with bias correction. Everything runs in float64 so the
 finite-difference gradient checks are meaningful.
+
+The loops over time in `forward` and `backward` hold only the recurrence. Every
+floating-point operation is still that of a plain per-step pass, and sums over
+time add one step at a time in the per-step order, so artifacts keep their bits.
+A gemm over time (`DZ.T @ X`) reorders those sums: it needs a declared format bump.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import numpy as np
 
 from .config import Config
 from .rng import Rng
+
+_CHUNK = 64  # steps per product buffer in backward's sums over time
 
 
 class TrainingError(RuntimeError):
@@ -108,19 +115,17 @@ def forward(model: SeqModel, xs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     gates = np.empty((T, 4 * hdim))
     c_s = np.empty((T, hdim))
     h_s = np.empty((T, hdim))
-    ys = np.empty((T, model.cfg.output_dim))
-
-    h = np.zeros(hdim)
-    c = np.zeros(hdim)
+    xw = np.matmul(model.wx, xs[:, :, None])[:, :, 0]  # wx @ xs[t] for every t, one gemv each
+    h = c = np.zeros(hdim)
     for t in range(T):
-        z = model.wx @ xs[t] + model.wh @ h + model.b
+        z = xw[t] + model.wh @ h + model.b
         gate = gates[t]
         gate[:] = _sigmoid(z)
         gate[2 * hdim : 3 * hdim] = np.tanh(z[2 * hdim : 3 * hdim])
         c = gate[hdim : 2 * hdim] * c + gate[:hdim] * gate[2 * hdim : 3 * hdim]
         h = gate[3 * hdim :] * np.tanh(c)
         c_s[t], h_s[t] = c, h
-        ys[t] = model.wy @ h + model.by
+    ys = np.matmul(model.wy, h_s[:, :, None])[:, :, 0] + model.by
     return ys, ForwardCache(xs, gates, c_s, h_s, ys)
 
 
@@ -142,34 +147,44 @@ def backward(model: SeqModel, cache: ForwardCache, target: np.ndarray) -> dict[s
     hdim = model.cfg.hidden_dim
 
     d_y = 2.0 * (cache.ys - target) / target.size
-    g_wy = d_y.T @ cache.h
-    g_by = d_y.sum(axis=0)
-    g_wx = np.zeros_like(model.wx)
-    g_wh = np.zeros_like(model.wh)
-    g_b = np.zeros_like(model.b)
-
-    dh_next = np.zeros(hdim)
-    dc_next = np.zeros(hdim)
-    dz = np.empty(4 * hdim)
+    # the gate blocks are dz = ((A*B)*C)*D with A = (dc, dc, dc, do): B, C and D are tabled up front
+    gates = cache.gates.reshape(T, 4, hdim)
+    i, f, g, o = gates.transpose(1, 0, 2)
+    prev = np.zeros((2, T, hdim))  # c_{t-1} and h_{t-1}, zero at t = 0
+    prev[:, 1:] = cache.c[:-1], cache.h[:-1]
+    B = np.stack((g, prev[0], i, o), axis=1)
+    C = np.stack((i, f, 1.0 - g * g, 1.0 - o), axis=1)
+    D = np.concatenate((1.0 - gates[:, :2], np.ones((T, 2, hdim))), axis=1)
+    tc = np.tanh(cache.c)
+    dtc = 1.0 - tc * tc
+    dh_y = np.matmul(model.wy.T, d_y[:, :, None])[:, :, 0]
+    DZ = np.empty((T, 4 * hdim))  # row T-1-t holds step t, so rows run in accumulation order
+    dh_next = dc_next = np.zeros(hdim)
     for t in range(T - 1, -1, -1):
-        gate = cache.gates[t]
-        i, f, g, o = gate[:hdim], gate[hdim : 2 * hdim], gate[2 * hdim : 3 * hdim], gate[3 * hdim :]
-        tc = np.tanh(cache.c[t])
-        dh = model.wy.T @ d_y[t] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        c_prev = cache.c[t - 1] if t > 0 else 0.0
-        h_prev = cache.h[t - 1] if t > 0 else np.zeros(hdim)
-        dz[:hdim] = dc * g * i * (1.0 - i)
-        dz[hdim : 2 * hdim] = dc * c_prev * f * (1.0 - f)
-        dz[2 * hdim : 3 * hdim] = dc * i * (1.0 - g * g)
-        dz[3 * hdim :] = do * o * (1.0 - o)
-        g_wx += np.outer(dz, cache.xs[t])
-        g_wh += np.outer(dz, h_prev)
-        g_b += dz
-        dh_next = model.wh.T @ dz
-        dc_next = dc * f
-    return {"wx": g_wx, "wh": g_wh, "b": g_b, "wy": g_wy, "by": g_by}
+        dh = dh_y[t] + dh_next
+        dc = dh * o[t] * dtc[t] + dc_next
+        dz = DZ[T - 1 - t].reshape(4, hdim)
+        dz[:3], dz[3] = dc, dh * tc[t]
+        dz *= B[t]
+        dz *= C[t]
+        dz *= D[t]
+        dh_next = model.wh.T @ dz.reshape(-1)
+        dc_next = dc * f[t]
+    return {"wx": _outer_sum(DZ, cache.xs[::-1]), "wh": _outer_sum(DZ, prev[1, ::-1]),
+            "b": np.add.reduce(DZ, axis=0, initial=0.0), "wy": d_y.T @ cache.h, "by": d_y.sum(axis=0)}
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """0.0 + outer(a[0], b[0]) + outer(a[1], b[1]) + ..., added in that order, as per-step
+    `+=` adds them. Chunks of _CHUNK rows carry the running sum as their first row."""
+    n = min(len(a), _CHUNK)
+    buf = np.empty((n + 1, a.shape[1], b.shape[1]))
+    buf[0] = 0.0
+    for s in range(0, len(a), n):
+        k = min(n, len(a) - s)
+        np.multiply(a[s : s + k, :, None], b[s : s + k, None, :], out=buf[1 : k + 1])
+        buf[0] = np.add.reduce(buf[: k + 1], axis=0, initial=0.0)
+    return buf[0].copy()
 
 
 @dataclass

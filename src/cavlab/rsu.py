@@ -235,8 +235,11 @@ def fetch(
 
     `timeout` bounds the whole exchange: connect, hello and response. Raises
     RsuConnectError (unreachable/timeout), RsuProtocolError (bad response),
-    or ChecksumMismatchError (corrupt payload) - all distinct.
+    or ChecksumMismatchError (corrupt payload) - all distinct. A `timeout` outside
+    (0, MAX_TIMEOUT] raises RsuError before any connection is made.
     """
+    if not 0 < timeout <= MAX_TIMEOUT:
+        raise RsuError(f"timeout must be > 0 and <= {MAX_TIMEOUT}, got {timeout}")
     hello = json.dumps({"type": "hello", "vehicle_id": vehicle_id, "x": x, "y": y}) + "\n"
     deadline = time.monotonic() + timeout
     try:

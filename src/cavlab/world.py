@@ -55,12 +55,6 @@ class Dir(IntEnum):
     RIGHT = 2
 
 
-class Spd(IntEnum):
-    DEC = 0
-    KEEP = 1
-    INC = 2
-
-
 class Event(IntEnum):
     ALIVE = 0
     GOAL = 1

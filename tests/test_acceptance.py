@@ -5,6 +5,9 @@ and shared between the learning-curve and the V2V-trend criteria.
 """
 
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,11 +26,12 @@ from cavlab.imitation import (
     parse_fcd,
     train_policy,
 )
-from cavlab.qlearn import LearnConfig, QTable, q_update, train
+from cavlab.qlearn import QTable, q_update
 from cavlab.rng import Rng
 from cavlab.rsu import Geofence, RsuConfig, RsuServer, fetch
 from cavlab.world import ALIVE, AGENT_START, Dir, Road, RoadConfig, RewardConfig, apply_action, reward
 from merge_fixture import SPEED_RANGE, ZONE, merge_log, serialize_fcd
+from training_runs import default_run
 from value_iteration import value_iteration_oracle
 
 
@@ -41,15 +45,15 @@ SEEDS = (1, 2, 3, 4, 5)
 
 @pytest.fixture(scope="session")
 def default_runs():
-    """(seed, v2v) -> MetricsBucket list for the default configuration."""
-    road = RoadConfig()
-    rew = RewardConfig()
-    runs = {}
-    for seed in SEEDS:
-        for v2v in (False, True):
-            _, buckets = train(road, rew, LearnConfig(episodes=100_000, seed=seed, v2v=v2v))
-            runs[(seed, v2v)] = buckets
-    return runs
+    """(seed, v2v) -> MetricsBucket list for the default configuration.
+
+    The ten runs are independent, so two processes share them. They are spawned,
+    not forked: other tests leave server threads alive in this process.
+    """
+    pairs = [(seed, v2v) for seed in SEEDS for v2v in (False, True)]
+    workers = min(2, os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return dict(zip(pairs, pool.map(default_run, pairs)))
 
 
 def goal_weighted_mean(buckets):

@@ -23,13 +23,12 @@ from cavlab.world import (
     Road,
     RoadConfig,
     RewardConfig,
-    Spd,
     apply_action,
     reward,
     scan_full,
     spawn_world,
 )
-from value_iteration import value_iteration_oracle
+from value_iteration import Spd, value_iteration_oracle
 
 DIST = (5, 5, 5, 0, 1, 5, 5)
 

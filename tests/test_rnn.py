@@ -1,10 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import rnn_reference
+from cavlab import rnn
+from cavlab.imitation import EncoderConfig, encode_features, extract_ego_sequences, parse_fcd, train_policy
 from cavlab.rnn import (
     AdamState,
+    ForwardCache,
     LossHistory,
     ModelConfig,
     SeqModel,
@@ -15,6 +20,7 @@ from cavlab.rnn import (
     forward,
     mse_loss,
 )
+from merge_fixture import merge_log
 
 
 def zero_model(input_dim=3, output_dim=2, hidden_dim=4):
@@ -194,6 +200,55 @@ class TestBackward:
         ys, cache = forward(model, np.ones((4, 3)))
         with pytest.raises(ValueError):
             backward(model, cache, np.zeros((5, 2)))
+
+
+def assert_bit_identical(model, xs, target):
+    """forward/backward give the bytes of the per-step reference passes."""
+    ys, cache = forward(model, xs)
+    ref_ys, ref_cache = rnn_reference.forward(model, xs)
+    assert ys.tobytes() == ref_ys.tobytes()
+    for name, got, want in zip(ForwardCache._fields, cache, ref_cache):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    grads = backward(model, cache, target)
+    ref_grads = rnn_reference.backward(model, ref_cache, target)
+    for name in SeqModel.PARAM_NAMES:
+        assert grads[name].shape == ref_grads[name].shape, name
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    return cache
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("T", [1, 2, 3, 40, rnn._CHUNK + 1, 3 * rnn._CHUNK + 5, 500])
+    def test_random_shapes(self, T):
+        rng = np.random.default_rng(T)
+        dims = [tuple(int(v) for v in rng.integers(1, 6, size=3)) for _ in range(4)] + [(9, 2, 32)]
+        for trial, (d, o, h) in enumerate(dims):
+            model = SeqModel.initialize(ModelConfig(input_dim=d, output_dim=o, hidden_dim=h, seed=trial))
+            assert_bit_identical(model, rng.normal(size=(T, d)), rng.normal(size=(T, o)))
+
+    def test_signed_zeros_and_saturated_gates(self):
+        rng = np.random.default_rng(5)
+        model = SeqModel.initialize(ModelConfig(input_dim=3, output_dim=2, hidden_dim=4, seed=1))
+        T = rnn._CHUNK + 6
+        xs = rng.choice([0.0, -0.0, 50.0, -50.0], size=(T, 3))
+        xs[:, 0] = -0.0  # each product with this column is a signed zero; its sums start from 0.0
+        cache = assert_bit_identical(model, xs, rng.normal(size=(T, 2)))
+        assert np.any(cache.gates == 1.0) and np.any(np.abs(cache.gates[:, 8:12]) == 1.0)
+        assert_bit_identical(model, xs, cache.ys.copy())  # zero residual
+        assert_bit_identical(zero_model(3, 2, 4), xs, np.full((T, 2), -0.0))
+
+    def test_train_policy_matches_reference(self, monkeypatch):
+        trajectories = extract_ego_sequences(parse_fcd(merge_log(6, seed=31)), "ego*")
+        samples = [encode_features(tr, EncoderConfig(), sequence_id=f"s{i}") for i, tr in enumerate(trajectories)]
+
+        def train():
+            artifact, history = train_policy(samples, hidden_dim=6, epochs=3, patience=None, lr=3e-3, seed=4)
+            return json.dumps(artifact.to_doc()).encode(), history
+
+        got = train()
+        monkeypatch.setattr(rnn, "forward", rnn_reference.forward)
+        monkeypatch.setattr(rnn, "backward", rnn_reference.backward)
+        assert train() == got
 
 
 class TestAdam:

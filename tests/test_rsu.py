@@ -13,6 +13,7 @@ from cavlab.rsu import (
     Geofence,
     RsuConfig,
     RsuConnectError,
+    RsuError,
     RsuProtocolError,
     RsuServer,
     fetch,
@@ -140,6 +141,15 @@ class TestServeFetch:
     def test_dead_endpoint_distinct_error(self):
         with pytest.raises(RsuConnectError):
             fetch("127.0.0.1", 1, "car1", 0.0, 0.0, timeout=0.5)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf"), 1e10])
+    def test_timeout_out_of_range_refused_before_connecting(self, monkeypatch, timeout):
+        def connect(*args, **kwargs):
+            raise AssertionError("fetch tried to connect")
+
+        monkeypatch.setattr(socket, "create_connection", connect)
+        with pytest.raises(RsuError, match="timeout must be > 0"):
+            fetch("127.0.0.1", 1, "car1", 0.0, 0.0, timeout=timeout)
 
     def test_malformed_line_gets_error_response(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=2.0) as conn:

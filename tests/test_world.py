@@ -15,13 +15,13 @@ from cavlab.world import (
     Road,
     RoadConfig,
     RewardConfig,
-    Spd,
     SpawnError,
     apply_action,
     reward,
     scan_full,
     spawn_world,
 )
+from value_iteration import Spd
 
 
 def act(d, s):

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+from enum import IntEnum
+
 import numpy as np
 
 from cavlab.world import ALIVE, N_ACTIONS, Dir, Road, RoadConfig, RewardConfig, apply_action, reward
+
+
+class Spd(IntEnum):
+    """The speed half of an action index `dir * 3 + spd`."""
+
+    DEC = 0
+    KEEP = 1
+    INC = 2
 
 
 def value_iteration_oracle(
