@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__, imitation, qlearn, rsu, world
@@ -80,15 +80,15 @@ def _invalid_config(source: str):
 
 # --- sim-train / sim-eval ---
 
-def _sim_sections(doc: dict) -> dict:
-    """The road and reward sections of a `--config` document, with every default filled in."""
-    unknown = set(doc) - {"road", "reward", "learn"}
+SIM_SECTIONS = {"road": world.RoadConfig, "reward": world.RewardConfig, "learn": qlearn.LearnConfig}
+
+
+def _sim_sections(doc: dict, *names: str) -> dict:
+    """The named sections of a `--config` document, with every default filled in."""
+    unknown = set(doc) - set(SIM_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}; expected road, reward and learn")
-    return {
-        "road": asdict(world.RoadConfig.from_dict(doc.get("road", {}))),
-        "reward": asdict(world.RewardConfig.from_dict(doc.get("reward", {}))),
-    }
+    return {name: asdict(SIM_SECTIONS[name].from_dict(doc.get(name, {}))) for name in names}
 
 
 def _resolve_sim_train(args) -> list:
@@ -99,7 +99,7 @@ def _resolve_sim_train(args) -> list:
             learn["episodes"] = args.episodes
         if args.v2v:
             learn["v2v"] = True
-        config = {**_sim_sections(doc), "learn": asdict(qlearn.LearnConfig.from_dict(learn))}
+        config = _sim_sections({**doc, "learn": learn}, *SIM_SECTIONS)
     with _invalid_config("--seeds"):
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     jobs = []
@@ -113,8 +113,7 @@ def _resolve_sim_train(args) -> list:
 
 def _run_sim_train(config: dict, outputs: dict) -> None:
     with _invalid_config("sim-train"):
-        road, reward, learn = check_types(config, {"road": world.RoadConfig, "reward": world.RewardConfig,
-                                                   "learn": qlearn.LearnConfig}).values()
+        road, reward, learn = check_types(config, SIM_SECTIONS).values()
     if road.max_steps * road.max_agent_speed < road.length:
         raise CliError(
             f"max_steps={road.max_steps} cannot traverse length={road.length} "
@@ -128,7 +127,7 @@ def _run_sim_train(config: dict, outputs: dict) -> None:
 def _resolve_sim_eval(args) -> list:
     doc = _load_json(args.config) if args.config else {}
     with _invalid_config(args.config):
-        config = _sim_sections(doc)
+        config = _sim_sections(doc, "road", "reward")
     config.update(qtable=args.qtable, seed=args.seed, runs=args.runs)
     return [(config, {"trace": args.trace_out})]
 
@@ -136,8 +135,11 @@ def _resolve_sim_eval(args) -> list:
 def _run_sim_eval(config: dict, outputs: dict) -> str:
     """Greedy rollouts of a saved Q-table, with a per-step trace."""
     with _invalid_config("sim-eval"):
-        road, reward, path, seed, runs = check_types(config, {
-            "road": world.RoadConfig, "reward": world.RewardConfig, "qtable": str, "seed": int, "runs": int}).values()
+        kinds = {"road": SIM_SECTIONS["road"], "reward": SIM_SECTIONS["reward"],
+                 "qtable": str, "seed": int, "runs": int}
+        road, reward, path, seed, runs = check_types(config, kinds).values()
+        if runs < 0:
+            raise ValueError(f"runs must be >= 0, got {runs}")
     try:
         with _file_errors("read", path), open(path, "r", encoding="utf-8") as fh:
             table = qlearn.QTable.from_json(fh.read())
@@ -157,21 +159,16 @@ def _resolve_ingest(args) -> list:
     config = {
         "xml": args.xml,
         "ego": args.ego,
-        "filter": {name: getattr(args, name)
-                   for name in ("d_min", "zone_x_min", "zone_x_max", "zone_lane_prefix", "t_min", "t_max")},
-        "encoder": {"k": args.neighbors, "v_norm": args.v_norm, "d_norm": args.d_norm},
+        "filter": {f.name: getattr(args, f.name) for f in fields(imitation.FilterConfig)},
+        "encoder": {f.name: getattr(args, f.name) for f in fields(imitation.EncoderConfig)},
     }
     return [(config, {"dataset": args.out, "report": args.report_out or args.out + ".rejects.json"})]
 
 
 def _run_ingest(config: dict, outputs: dict) -> str:
     with _invalid_config("ingest"):
-        xml, ego, f, enc = check_types(config, {"xml": str, "ego": str, "filter": dict,
-                                                "encoder": imitation.EncoderConfig}).values()
-        f = check_types(f, {"d_min": float, "zone_x_min": float, "zone_x_max": float, "zone_lane_prefix": str,
-                            "t_min": int, "t_max": int})
-        zone = imitation.MergeZone(f["zone_x_min"], f["zone_x_max"], f["zone_lane_prefix"])
-        filt = imitation.FilterConfig(d_min=f["d_min"], merge_zone=zone, t_min=f["t_min"], t_max=f["t_max"])
+        xml, ego, filt, enc = check_types(config, {"xml": str, "ego": str, "filter": imitation.FilterConfig,
+                                                   "encoder": imitation.EncoderConfig}).values()
     try:
         with _file_errors("read", xml), open(xml, "rb") as fh:
             timesteps = imitation.parse_fcd(fh)
@@ -210,22 +207,19 @@ def _read_samples(path: str) -> list:
 
 
 def _resolve_imitate_train(args) -> list:
-    names = ("dataset", "split", "hidden", "epochs", "patience", "lr", "seed")
-    return [({name: getattr(args, name) for name in names}, {"artifact": args.artifact_out})]
+    settings = {f.name: getattr(args, f.name) for f in fields(imitation.TrainConfig)}
+    return [({"dataset": args.dataset, **settings}, {"artifact": args.artifact_out})]
 
 
 def _run_imitate_train(config: dict, outputs: dict) -> str:
     with _invalid_config("imitate-train"):
-        check_types(config, {"dataset": str, "split": float, "hidden": int, "epochs": int, "patience": int,
-                             "lr": float, "seed": int})
-        settings = {"split_ratio": config["split"], "hidden_dim": config["hidden"], "epochs": config["epochs"],
-                    "patience": config["patience"], "lr": config["lr"], "seed": config["seed"]}
+        cfg = imitation.TrainConfig.from_dict({key: value for key, value in config.items() if key != "dataset"})
     samples = _read_samples(config["dataset"])
     try:
-        artifact, history = imitation.train_policy(samples, **settings)
+        artifact, history = imitation.train_policy(samples, cfg)
     except TrainingError as exc:
         raise CliError(f"training failed: {exc}") from exc
-    except ValueError as exc:  # a bad setting, too few sequences or mixed encoders
+    except ValueError as exc:  # a hidden size below 1, too few sequences or mixed encoders
         raise CliError(str(exc)) from exc
     with _file_errors("write", outputs["artifact"]):
         imitation.save_artifact(artifact, outputs["artifact"])
@@ -393,27 +387,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse an FCD XML log into a training dataset")
     p.add_argument("--xml", required=True)
     p.add_argument("--ego", required=True, help="glob pattern on vehicle id")
-    p.add_argument("--d-min", type=float, default=2.0)
-    p.add_argument("--zone-x-min", type=float, default=-math.inf)
-    p.add_argument("--zone-x-max", type=float, default=math.inf)
-    p.add_argument("--zone-lane-prefix", default="")
-    p.add_argument("--t-min", type=int, default=10)
-    p.add_argument("--t-max", type=int, default=500)
-    p.add_argument("--neighbors", type=int, default=4)
-    p.add_argument("--v-norm", type=float, default=30.0)
-    p.add_argument("--d-norm", type=float, default=50.0)
+    p.add_argument("--d-min", type=float, default=imitation.FilterConfig.d_min)
+    p.add_argument("--zone-x-min", type=float, default=imitation.FilterConfig.zone_x_min)
+    p.add_argument("--zone-x-max", type=float, default=imitation.FilterConfig.zone_x_max)
+    p.add_argument("--zone-lane-prefix", default=imitation.FilterConfig.zone_lane_prefix)
+    p.add_argument("--t-min", type=int, default=imitation.FilterConfig.t_min)
+    p.add_argument("--t-max", type=int, default=imitation.FilterConfig.t_max)
+    p.add_argument("--neighbors", dest="k", type=int, default=imitation.EncoderConfig.k, metavar="NEIGHBORS")
+    p.add_argument("--v-norm", type=float, default=imitation.EncoderConfig.v_norm)
+    p.add_argument("--d-norm", type=float, default=imitation.EncoderConfig.d_norm)
     p.add_argument("--out", required=True)
     p.add_argument("--report-out", default=None)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("imitate-train", help="train the merge policy from a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--epochs", type=_positive_int, default=200)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=_positive_int, default=imitation.TrainConfig.epochs)
+    p.add_argument("--patience", type=int, default=imitation.TrainConfig.patience)
+    p.add_argument("--hidden", type=int, default=imitation.TrainConfig.hidden)
+    p.add_argument("--lr", type=float, default=imitation.TrainConfig.lr)
+    p.add_argument("--split", type=float, default=imitation.TrainConfig.split)
+    p.add_argument("--seed", type=int, default=imitation.TrainConfig.seed)
     p.add_argument("--artifact-out", required=True)
     p.set_defaults(func=cmd_pipeline)
 

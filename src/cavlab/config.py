@@ -60,5 +60,5 @@ class Config:
         """The config a JSON object describes; an unknown key raises ConfigError."""
         unknown = set(d) - set(_kinds(cls))
         if unknown:
-            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+            raise ConfigError(f"{cls.__name__}: unknown keys: {sorted(unknown)}")
         return cls(**d)

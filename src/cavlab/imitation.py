@@ -215,23 +215,11 @@ def extract_ego_sequences(timesteps: Sequence[Timestep], ego_pattern: str) -> li
 
 
 @dataclass(frozen=True)
-class MergeZone(Config):
-    x_min: float
-    x_max: float
-    lane_prefix: str = ""
-
-    def contains(self, snap: Snapshot) -> bool:
-        if not self.x_min <= snap.x <= self.x_max:
-            return False
-        if self.lane_prefix:
-            return snap.lane is not None and snap.lane.startswith(self.lane_prefix)
-        return True
-
-
-@dataclass(frozen=True)
 class FilterConfig(Config):
     d_min: float = 2.0
-    merge_zone: MergeZone = MergeZone(-math.inf, math.inf)
+    zone_x_min: float = -math.inf  # the merge zone, where a merge must end
+    zone_x_max: float = math.inf
+    zone_lane_prefix: str = ""
     t_min: int = 10
     t_max: int = 500
 
@@ -240,6 +228,10 @@ class FilterConfig(Config):
             raise ValueError("d_min must be > 0")
         if self.t_min > self.t_max:
             raise ValueError("t_min must be <= t_max")
+
+    def in_zone(self, snap: Snapshot) -> bool:
+        """Whether `snap` lies in the merge zone; a lane prefix also needs a lane that starts with it."""
+        return self.zone_x_min <= snap.x <= self.zone_x_max and (snap.lane or "").startswith(self.zone_lane_prefix)
 
 
 class Classification(NamedTuple):
@@ -260,7 +252,7 @@ def classify_positive(traj: Trajectory, cfg: FilterConfig) -> Classification:
             dx = ex - n.x
             if abs(dx) < reach and math.hypot(dx, ey - n.y) < cfg.d_min:
                 return Classification(False, "near-collision")
-    if not traj.steps or not cfg.merge_zone.contains(traj.steps[-1].ego):
+    if not traj.steps or not cfg.in_zone(traj.steps[-1].ego):
         return Classification(False, "merge-incomplete")
     if len(traj) < cfg.t_min:
         return Classification(False, "too-short")
@@ -446,20 +438,28 @@ def load_artifact(path) -> PolicyArtifact:
 
 # --- training and evaluation ---
 
-def train_policy(
-    samples: Sequence[SequenceSample],
-    split_ratio: float = 0.8,
-    hidden_dim: int = 32,
-    epochs: int = 200,
-    patience: Optional[int] = 20,
-    lr: float = 1e-3,
-    seed: int = 0,
-) -> tuple[PolicyArtifact, rnn.LossHistory]:
+@dataclass(frozen=True)
+class TrainConfig(Config):
+    split: float = 0.8  # share of the sequences trained on; the rest validate
+    hidden: int = 32
+    epochs: int = 200
+    patience: Optional[int] = 20  # epochs without a better validation loss before stopping; None never stops
+    lr: float = 1e-3
+    seed: int = 0
+
+    def check(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite value > 0, got {self.lr}")
+        if not 0 < self.split < 1:
+            raise ValueError(f"split must be in (0, 1), got {self.split}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
+
+
+def train_policy(samples: Sequence[SequenceSample], cfg: TrainConfig) -> tuple[PolicyArtifact, rnn.LossHistory]:
     """Seeded split by sequence, then rnn.fit; best model wrapped as artifact."""
-    if not (math.isfinite(lr) and lr > 0):
-        raise ValueError(f"lr must be a finite value > 0, got {lr}")
-    if not 0 < split_ratio < 1:
-        raise ValueError(f"split_ratio must be in (0, 1), got {split_ratio}")
     if len(samples) < 2:
         raise InsufficientDataError("insufficient data: need at least 2 sequences")
     encoder = samples[0].encoder
@@ -468,16 +468,15 @@ def train_policy(
             raise EncoderMismatchError("samples carry differing encoder configurations")
 
     order = list(range(len(samples)))
-    Rng(seed).shuffle(order)
-    n_train = max(1, min(len(samples) - 1, int(len(samples) * split_ratio)))
+    Rng(cfg.seed).shuffle(order)
+    n_train = max(1, min(len(samples) - 1, int(len(samples) * cfg.split)))
     train_set = [(samples[i].features, samples[i].targets) for i in order[:n_train]]
     val_set = [(samples[i].features, samples[i].targets) for i in order[n_train:]]
 
-    model_cfg = rnn.ModelConfig(
-        input_dim=encoder.feature_dim, output_dim=2, hidden_dim=hidden_dim, seed=seed
-    )
+    model_cfg = rnn.ModelConfig(input_dim=encoder.feature_dim, output_dim=2, hidden_dim=cfg.hidden, seed=cfg.seed)
     model = rnn.SeqModel.initialize(model_cfg)
-    model, history = rnn.fit(model, train_set, val_set, epochs=epochs, patience=patience, lr=lr, seed=seed)
+    model, history = rnn.fit(model, train_set, val_set, epochs=cfg.epochs, patience=cfg.patience, lr=cfg.lr,
+                             seed=cfg.seed)
     params = {name: arr.copy() for name, arr in model.params().items()}
     return PolicyArtifact(model_cfg, encoder, params), history
 

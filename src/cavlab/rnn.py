@@ -44,8 +44,8 @@ class TrainingError(RuntimeError):
 class ModelConfig(Config):
     input_dim: int
     output_dim: int
-    hidden_dim: int = 32
-    seed: int = 0
+    hidden_dim: int
+    seed: int
 
     def check(self):
         if min(self.input_dim, self.output_dim, self.hidden_dim) < 1:

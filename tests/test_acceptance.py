@@ -18,7 +18,7 @@ from cavlab.imitation import (
     EncoderConfig,
     FcdParseError,
     FilterConfig,
-    MergeZone,
+    TrainConfig,
     classify_positive,
     encode_features,
     evaluate_policy,
@@ -221,7 +221,8 @@ class TestA7ImitationPipeline:
         timesteps = parse_fcd(xml)
         trajectories = extract_ego_sequences(timesteps, "ego*")
         assert len(trajectories) == 40
-        filt = FilterConfig(d_min=2.0, merge_zone=MergeZone(*ZONE), t_min=10, t_max=500)
+        filt = FilterConfig(d_min=2.0, zone_x_min=ZONE[0], zone_x_max=ZONE[1], zone_lane_prefix=ZONE[2],
+                            t_min=10, t_max=500)
         enc = EncoderConfig()
         samples = []
         for i, traj in enumerate(trajectories):
@@ -233,7 +234,7 @@ class TestA7ImitationPipeline:
         Rng(7).shuffle(order)
         held = [samples[i] for i in order[:8]]
         train_set = [samples[i] for i in order[8:]]
-        artifact, history = train_policy(train_set, hidden_dim=32, epochs=120, patience=15, lr=3e-3, seed=11)
+        artifact, history = train_policy(train_set, TrainConfig(hidden=32, epochs=120, patience=15, lr=3e-3, seed=11))
         rep = evaluate_policy(artifact, held)
         budget = 0.15 * SPEED_RANGE
         report(
@@ -290,14 +291,15 @@ class TestA9RsuEndToEnd:
     def test_a9(self):
         xml = merge_log(6, seed=55)
         timesteps = parse_fcd(xml)
-        filt = FilterConfig(d_min=2.0, merge_zone=MergeZone(*ZONE), t_min=10, t_max=500)
+        filt = FilterConfig(d_min=2.0, zone_x_min=ZONE[0], zone_x_max=ZONE[1], zone_lane_prefix=ZONE[2],
+                            t_min=10, t_max=500)
         enc = EncoderConfig()
         samples = [
             encode_features(t, enc, sequence_id=t.ego_id)
             for t in extract_ego_sequences(timesteps, "ego*")
             if classify_positive(t, filt).positive
         ]
-        artifact, _ = train_policy(samples, hidden_dim=8, epochs=5, patience=None, seed=4)
+        artifact, _ = train_policy(samples, TrainConfig(hidden=8, epochs=5, patience=None, seed=4))
         server_model = artifact.build_model()
         doc = artifact.to_doc()
 

@@ -6,11 +6,12 @@ import socket
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 
 import pytest
 
-from cavlab.cli import main
-from cavlab.imitation import load_artifact, read_dataset
+from cavlab.cli import PIPELINES, build_parser, main
+from cavlab.imitation import EncoderConfig, FilterConfig, TrainConfig, load_artifact, read_dataset
 from cavlab.qlearn import QTable, encode_state
 from cavlab.rsu import Geofence, RsuConfig, RsuServer
 from cavlab.rng import Rng
@@ -399,9 +400,12 @@ class TestReplay:
     @pytest.mark.parametrize("sub, key, value", [
         ("sim-eval", "runs", "3"),
         ("sim-eval", "seed", True),
+        ("sim-eval", "runs", -4),
         ("imitate-train", "epochs", "3"),
+        ("imitate-train", "epochs", -3),
         ("imitate-train", "hidden", 4.0),
         ("imitate-train", "patience", False),
+        ("imitate-train", "patience", -5),
         ("imitate-train", "seed", "1"),
         ("imitate-train", "split", "0.8"),
         ("imitate-train", "lr", None),
@@ -411,17 +415,32 @@ class TestReplay:
         ("ingest", "filter.t_min", 10.5),
         ("ingest", "encoder.k", 2.5),
         ("ingest", "encoder.k", True),
-    ], ids=["sim-eval-runs", "sim-eval-seed", "epochs", "hidden", "patience", "imitate-train-seed", "split",
-            "lr", "ego", "zone-x-min-str", "zone-lane-prefix-int", "t-min-float", "k-float", "k-bool"])
+    ], ids=["sim-eval-runs", "sim-eval-seed", "sim-eval-runs-neg", "epochs", "epochs-neg", "hidden", "patience",
+            "patience-neg", "imitate-train-seed", "split", "lr", "ego", "zone-x-min-str", "zone-lane-prefix-int",
+            "t-min-float", "k-float", "k-bool"])
     def test_wrong_setting_type_exit_1(self, tmp_path, recorded, capsys, sub, key, value):
         name = self.set_setting(tmp_path, sub, key, value)
         capsys.readouterr()
         code, out_dir = self.replay(tmp_path, sub)
         assert code == 1
         err = capsys.readouterr().err
-        # the filter's zone_* settings are the fields of its MergeZone
-        assert err.startswith("cavlab: error:") and f"{name.removeprefix('zone_')} must be" in err
+        assert err.startswith("cavlab: error:") and f"{name} must be" in err
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("edit", ["null", "missing"])
+    def test_patience_null_or_missing_replays(self, tmp_path, recorded, edit):
+        # null trains without early stopping and a missing key takes the default (20);
+        # neither stops the recorded 5 epochs early, so the artifact keeps its bytes
+        path = tmp_path / "p.json.manifest.json"
+        manifest = json.loads(path.read_text())
+        if edit == "null":
+            manifest["config"]["patience"] = None
+        else:
+            del manifest["config"]["patience"]
+        path.write_text(json.dumps(manifest))
+        code, out_dir = self.replay(tmp_path, "imitate-train")
+        assert code == 0
+        assert (out_dir / "p.json").read_bytes() == (tmp_path / "p.json").read_bytes()
 
     @pytest.mark.parametrize("sub, key", [
         ("sim-train", "lern"),
@@ -488,6 +507,7 @@ class TestBadInput:
         TRAIN + ["--lr", -1, "--artifact-out", "{out}/p.json"],
         TRAIN + ["--lr", "nan", "--artifact-out", "{out}/p.json"],
         TRAIN + ["--split", 1.5, "--artifact-out", "{out}/p.json"],
+        TRAIN + ["--patience", -5, "--artifact-out", "{out}/p.json"],
         TRAIN + ["--artifact-out", "{out}/nodir/p.json"],
         SIM + ["--config", "{root}/road-int.json"],
         SIM + ["--config", "{root}/road-str.json"],
@@ -513,7 +533,7 @@ class TestBadInput:
         FETCH + ["--timeout", "inf", "--out", "{out}/fetched.json"],
         FETCH + ["--timeout", 1e10, "--out", "{out}/fetched.json"],
     ], ids=["d-min-0", "d-min-nan", "neighbors-neg", "v-norm-nan", "t-min-gt-t-max", "hidden-0", "lr-neg", "lr-nan", "split-1.5",
-            "artifact-out-no-dir", "config-road-int", "config-road-str", "config-learn-key", "seeds-not-int",
+            "patience-neg", "artifact-out-no-dir", "config-road-int", "config-road-str", "config-learn-key", "seeds-not-int",
             "config-road-float", "config-road-steps-float", "config-road-lane-bool", "config-reward-str",
             "config-reward-nan", "config-reward-div-0", "artifact-missing", "fetch-out-no-dir",
             "config-learn-episodes-float", "config-learn-v2v-str", "config-learn-bucket-float",
@@ -638,6 +658,15 @@ class TestRsuCli:
 class TestUsage:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate") == 2
+
+    def test_flag_defaults_are_the_settings_defaults(self):
+        parser = build_parser()
+        [(ingest, _)] = PIPELINES["ingest"].resolve(parser.parse_args(["ingest", "--xml", "x", "--ego", "e", "--out", "d"]))
+        assert ingest["filter"] == asdict(FilterConfig())
+        assert ingest["encoder"] == asdict(EncoderConfig())
+        [(train, _)] = PIPELINES["imitate-train"].resolve(
+            parser.parse_args(["imitate-train", "--dataset", "d", "--artifact-out", "p"]))
+        assert train == {"dataset": "d", **asdict(TrainConfig())}
 
     def test_no_args(self):
         assert run_cli() == 2

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+from dataclasses import replace
 from fnmatch import fnmatch
 
 import numpy as np
@@ -19,11 +20,11 @@ from cavlab.imitation import (
     FcdParseError,
     FilterConfig,
     InsufficientDataError,
-    MergeZone,
     PolicyArtifact,
     SequenceSample,
     Snapshot,
     Timestep,
+    TrainConfig,
     Trajectory,
     TrajectoryStep,
     UnsupportedVersionError,
@@ -305,7 +306,7 @@ class TestExtract:
 
 
 class TestClassify:
-    CFG = FilterConfig(d_min=2.0, merge_zone=MergeZone(100.0, 200.0, "main"), t_min=3, t_max=50)
+    CFG = FilterConfig(d_min=2.0, zone_x_min=100.0, zone_x_max=200.0, zone_lane_prefix="main", t_min=3, t_max=50)
 
     def good_points(self, n=10):
         return [(100.0 + 5 * t, 0.0, 10.0, 90.0) for t in range(n)]
@@ -332,7 +333,7 @@ class TestClassify:
     def test_too_short_and_too_long(self):
         short = traj(self.good_points(2), lane="main_0")
         assert classify_positive(short, self.CFG) == Classification(False, "too-short")
-        cfg = FilterConfig(d_min=2.0, merge_zone=self.CFG.merge_zone, t_min=1, t_max=4)
+        cfg = replace(self.CFG, t_min=1, t_max=4)
         long = traj(self.good_points(6), lane="main_0")
         assert classify_positive(long, cfg) == Classification(False, "too-long")
 
@@ -348,7 +349,7 @@ class TestClassify:
             t = traj(pts, neighbors, lane="main_0")
             was_positive = None
             for d_min in (0.5, 2.0, 5.0, 9.0):
-                cfg = FilterConfig(d_min=d_min, merge_zone=self.CFG.merge_zone, t_min=3, t_max=50)
+                cfg = replace(self.CFG, d_min=d_min)
                 positive = classify_positive(t, cfg).positive
                 if was_positive is not None and positive:
                     assert was_positive  # raising d_min never flips negative->positive
@@ -357,7 +358,6 @@ class TestClassify:
     def test_near_collision_is_hypot_below_d_min(self):
         # the |dx| prefilter must not change a verdict, also at the edges of d_min and 2 * d_min
         rng = Rng(41)
-        zone = MergeZone(-math.inf, math.inf)
         for _ in range(500):
             d_min = rng.uniform(0.1, 5.0)
             ex, ey = rng.uniform(-1e4, 1e4), rng.uniform(-10.0, 10.0)
@@ -367,13 +367,12 @@ class TestClassify:
             dy = (0.0, 1e-9, rng.uniform(0.0, d_min))[rng.randrange(3)]
             n = Snapshot("n", ex - dx, ey - dy, 8.0, 90.0, None)
             t = Trajectory("ego", (TrajectoryStep(0.0, Snapshot("ego", ex, ey, 10.0, 90.0, None), (n,)),))
-            verdict = classify_positive(t, FilterConfig(d_min=d_min, merge_zone=zone, t_min=1, t_max=5))
+            verdict = classify_positive(t, FilterConfig(d_min=d_min, t_min=1, t_max=5))
             assert verdict.positive == (not math.hypot(ex - n.x, ey - n.y) < d_min)
 
     def test_synthetic_labeled_set(self):
         # labels known by construction: distance clause controls them
-        zone = MergeZone(0.0, 1000.0)
-        cfg = FilterConfig(d_min=2.0, merge_zone=zone, t_min=2, t_max=100)
+        cfg = FilterConfig(d_min=2.0, zone_x_min=0.0, zone_x_max=1000.0, t_min=2, t_max=100)
         rng = Rng(31)
         for case in range(100):
             n = 4 + rng.randrange(6)
@@ -490,33 +489,33 @@ def make_samples(n, seed=0, T=20):
 class TestTrainPolicy:
     def test_split_arithmetic(self):
         samples = make_samples(10)
-        artifact, history = train_policy(samples, split_ratio=0.8, hidden_dim=4, epochs=1, seed=5)
+        artifact, history = train_policy(samples, TrainConfig(split=0.8, hidden=4, epochs=1, seed=5))
         # 8 train sequences -> one epoch of 8 adam steps; 2 validation entries
         assert len(history.val_mse) == 1
         assert artifact.model_cfg.input_dim == 9
 
     def test_split_stable_under_seed(self):
         samples = make_samples(10)
-        a, ha = train_policy(samples, hidden_dim=4, epochs=2, seed=5)
-        b, hb = train_policy(samples, hidden_dim=4, epochs=2, seed=5)
+        a, ha = train_policy(samples, TrainConfig(hidden=4, epochs=2, seed=5))
+        b, hb = train_policy(samples, TrainConfig(hidden=4, epochs=2, seed=5))
         assert ha.val_mse == hb.val_mse
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
 
     def test_single_sample_rejected(self):
         with pytest.raises(InsufficientDataError, match="insufficient"):
-            train_policy(make_samples(1))
+            train_policy(make_samples(1), TrainConfig())
 
     def test_mixed_encoders_rejected(self):
         samples = make_samples(3)
         t = traj([(0.0, 0.0, 10.0, 90.0)] * 5)
         samples.append(encode_features(t, EncoderConfig(k=2), sequence_id="odd"))
         with pytest.raises(EncoderMismatchError):
-            train_policy(samples)
+            train_policy(samples, TrainConfig())
 
     def test_scripted_controller_learnable(self):
         samples = make_samples(12, T=24)
-        artifact, history = train_policy(samples, hidden_dim=8, epochs=150, patience=None, lr=5e-3, seed=2)
+        artifact, history = train_policy(samples, TrainConfig(hidden=8, epochs=150, patience=None, lr=5e-3, seed=2))
         assert history.val_mse[-1] < 0.01
 
 
@@ -524,7 +523,7 @@ class TestEvaluatePolicy:
     def test_perfect_predictions_zero_rmse(self):
         samples = make_samples(3)
         # identity check: evaluate a model against its own outputs
-        artifact, _ = train_policy(samples, hidden_dim=4, epochs=1, seed=0)
+        artifact, _ = train_policy(samples, TrainConfig(hidden=4, epochs=1, seed=0))
         model = artifact.build_model()
         doctored = []
         for s in samples:
@@ -550,14 +549,14 @@ class TestEvaluatePolicy:
 
     def test_encoder_mismatch_rejected(self):
         samples = make_samples(3)
-        artifact, _ = train_policy(samples, hidden_dim=4, epochs=1, seed=0)
+        artifact, _ = train_policy(samples, TrainConfig(hidden=4, epochs=1, seed=0))
         other = SequenceSample("x", samples[0].features, samples[0].targets, EncoderConfig(v_norm=99.0))
         with pytest.raises(EncoderMismatchError):
             evaluate_policy(artifact, [other])
 
     def test_rows_schema(self):
         samples = make_samples(2, T=4)
-        artifact, _ = train_policy(samples, hidden_dim=4, epochs=1, seed=0)
+        artifact, _ = train_policy(samples, TrainConfig(hidden=4, epochs=1, seed=0))
         report = evaluate_policy(artifact, samples)
         assert len(report.rows) == 8
         sid, t, a_s, p_s, a_a, p_a = report.rows[0]
@@ -567,7 +566,7 @@ class TestEvaluatePolicy:
     def test_rows_csv_round_trips_ids_and_numbers(self, sequence_id):
         samples = make_samples(2, T=4)
         samples[0] = SequenceSample(sequence_id, samples[0].features, samples[0].targets, samples[0].encoder)
-        artifact, _ = train_policy(samples, hidden_dim=4, epochs=1, seed=0)
+        artifact, _ = train_policy(samples, TrainConfig(hidden=4, epochs=1, seed=0))
         report = evaluate_policy(artifact, samples)
         parsed = list(csv.reader(io.StringIO(eval_rows_to_csv(report.rows), newline="")))
         assert parsed[0] == EVAL_CSV_HEADER.split(",")
@@ -582,7 +581,7 @@ class TestEvaluatePolicy:
 class TestArtifactIO:
     def make_artifact(self):
         samples = make_samples(3)
-        artifact, _ = train_policy(samples, hidden_dim=4, epochs=2, seed=1)
+        artifact, _ = train_policy(samples, TrainConfig(hidden=4, epochs=2, seed=1))
         return artifact
 
     def test_save_load_bit_exact(self, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 import rnn_reference
 from cavlab import rnn
-from cavlab.imitation import EncoderConfig, encode_features, extract_ego_sequences, parse_fcd, train_policy
+from cavlab.imitation import (EncoderConfig, TrainConfig, encode_features, extract_ego_sequences, parse_fcd,
+                              train_policy)
 from cavlab.rnn import (
     AdamState,
     ForwardCache,
@@ -242,7 +243,7 @@ class TestBitIdentity:
         samples = [encode_features(tr, EncoderConfig(), sequence_id=f"s{i}") for i, tr in enumerate(trajectories)]
 
         def train():
-            artifact, history = train_policy(samples, hidden_dim=6, epochs=3, patience=None, lr=3e-3, seed=4)
+            artifact, history = train_policy(samples, TrainConfig(hidden=6, epochs=3, patience=None, lr=3e-3, seed=4))
             return json.dumps(artifact.to_doc()).encode(), history
 
         got = train()
