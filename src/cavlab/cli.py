@@ -219,7 +219,7 @@ def _run_imitate_train(config: dict, outputs: dict) -> str:
         artifact, history = imitation.train_policy(samples, cfg)
     except TrainingError as exc:
         raise CliError(f"training failed: {exc}") from exc
-    except ValueError as exc:  # a hidden size below 1, too few sequences or mixed encoders
+    except ValueError as exc:  # too few sequences or mixed encoders
         raise CliError(str(exc)) from exc
     with _file_errors("write", outputs["artifact"]):
         imitation.save_artifact(artifact, outputs["artifact"])

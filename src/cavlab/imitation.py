@@ -226,6 +226,8 @@ class FilterConfig(Config):
     def check(self):
         if not self.d_min > 0:  # also rejects NaN, which would pass every distance check
             raise ValueError("d_min must be > 0")
+        if not self.zone_x_min <= self.zone_x_max:  # also rejects NaN, which would put every x outside
+            raise ValueError(f"zone_x_min must be <= zone_x_max, got {self.zone_x_min} and {self.zone_x_max}")
         if self.t_min > self.t_max:
             raise ValueError("t_min must be <= t_max")
 
@@ -450,6 +452,8 @@ class TrainConfig(Config):
     def check(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be a finite value > 0, got {self.lr}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if not 0 < self.split < 1:
             raise ValueError(f"split must be in (0, 1), got {self.split}")
         if self.epochs < 0:

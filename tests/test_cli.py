@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import signal
 import socket
@@ -404,6 +405,7 @@ class TestReplay:
         ("imitate-train", "epochs", "3"),
         ("imitate-train", "epochs", -3),
         ("imitate-train", "hidden", 4.0),
+        ("imitate-train", "hidden", 0),
         ("imitate-train", "patience", False),
         ("imitate-train", "patience", -5),
         ("imitate-train", "seed", "1"),
@@ -411,13 +413,15 @@ class TestReplay:
         ("imitate-train", "lr", None),
         ("ingest", "ego", 5),
         ("ingest", "filter.zone_x_min", "0"),
+        ("ingest", "filter.zone_x_min", 2500.0),
+        ("ingest", "filter.zone_x_min", math.nan),
         ("ingest", "filter.zone_lane_prefix", 5),
         ("ingest", "filter.t_min", 10.5),
         ("ingest", "encoder.k", 2.5),
         ("ingest", "encoder.k", True),
-    ], ids=["sim-eval-runs", "sim-eval-seed", "sim-eval-runs-neg", "epochs", "epochs-neg", "hidden", "patience",
-            "patience-neg", "imitate-train-seed", "split", "lr", "ego", "zone-x-min-str", "zone-lane-prefix-int",
-            "t-min-float", "k-float", "k-bool"])
+    ], ids=["sim-eval-runs", "sim-eval-seed", "sim-eval-runs-neg", "epochs", "epochs-neg", "hidden", "hidden-0",
+            "patience", "patience-neg", "imitate-train-seed", "split", "lr", "ego", "zone-x-min-str", "zone-empty",
+            "zone-x-min-nan", "zone-lane-prefix-int", "t-min-float", "k-float", "k-bool"])
     def test_wrong_setting_type_exit_1(self, tmp_path, recorded, capsys, sub, key, value):
         name = self.set_setting(tmp_path, sub, key, value)
         capsys.readouterr()
@@ -503,6 +507,8 @@ class TestBadInput:
         INGEST + ["--neighbors", -1],
         INGEST + ["--v-norm", "nan"],
         INGEST + ["--t-min", 20, "--t-max", 10],
+        INGEST + ["--zone-x-min", 2000, "--zone-x-max", 100],
+        INGEST + ["--zone-x-min", "nan"],
         TRAIN[:-1] + [0, "--artifact-out", "{out}/p.json"],
         TRAIN + ["--lr", -1, "--artifact-out", "{out}/p.json"],
         TRAIN + ["--lr", "nan", "--artifact-out", "{out}/p.json"],
@@ -532,7 +538,8 @@ class TestBadInput:
         FETCH + ["--timeout", "nan", "--out", "{out}/fetched.json"],
         FETCH + ["--timeout", "inf", "--out", "{out}/fetched.json"],
         FETCH + ["--timeout", 1e10, "--out", "{out}/fetched.json"],
-    ], ids=["d-min-0", "d-min-nan", "neighbors-neg", "v-norm-nan", "t-min-gt-t-max", "hidden-0", "lr-neg", "lr-nan", "split-1.5",
+    ], ids=["d-min-0", "d-min-nan", "neighbors-neg", "v-norm-nan", "t-min-gt-t-max", "zone-empty", "zone-x-min-nan",
+            "hidden-0", "lr-neg", "lr-nan", "split-1.5",
             "patience-neg", "artifact-out-no-dir", "config-road-int", "config-road-str", "config-learn-key", "seeds-not-int",
             "config-road-float", "config-road-steps-float", "config-road-lane-bool", "config-reward-str",
             "config-reward-nan", "config-reward-div-0", "artifact-missing", "fetch-out-no-dir",
@@ -544,6 +551,15 @@ class TestBadInput:
         assert run_cli(*(str(a).format(out=tmp_path, **workspace) for a in argv)) == 1
         assert "cavlab: error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # rejected before any output
+
+    def test_hidden_0_refused_before_the_dataset_is_read(self, tmp_path, capsys):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("not json\n")
+        capsys.readouterr()
+        assert run_cli("imitate-train", "--dataset", dataset, "--hidden", 0, "--artifact-out", tmp_path / "p.json") == 1
+        assert capsys.readouterr().err == (
+            "cavlab: error: imitate-train: invalid configuration: ValueError('hidden must be >= 1, got 0')\n")
+        assert list(tmp_path.iterdir()) == [dataset]
 
 
 def free_port():
