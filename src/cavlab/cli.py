@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 runtime/IO error, 2 usage error, 3 domain "no result"
 (out-of-zone fetch). Each file-producing subcommand resolves its arguments
 into jobs of (config, outputs) and runs each job; every job writes a manifest
 next to its primary output with the config, the outputs and the SHA-256 of
-each input file. `replay --manifest` runs the recorded job again, reproducing
-the outputs byte for byte, and refuses to when an input file has changed.
+each input and output file. A job two of whose paths name one file is refused.
+`replay --manifest` runs the recorded job again, refuses to when an input file
+has changed, and exits 1 when an output's bytes differ from the recorded ones.
 """
 
 from __future__ import annotations
@@ -233,7 +234,8 @@ def _resolve_imitate_eval(args) -> list:
 
 
 def _run_imitate_eval(config: dict, outputs: dict) -> str:
-    path, dataset = check_types(config, {"artifact": str, "dataset": str}).values()
+    with _invalid_config("imitate-eval"):
+        path, dataset = check_types(config, {"artifact": str, "dataset": str}).values()
     try:
         with _file_errors("read", path):
             artifact = imitation.load_artifact(path)
@@ -268,24 +270,41 @@ PIPELINES = {
 }
 
 
+def _check_digests(what: str, digests: dict, recorded: Optional[dict]) -> None:
+    """Raise a CliError naming each key whose digest is not the `recorded` one; None checks nothing."""
+    if recorded is not None:
+        differ = sorted(k for k in digests.keys() | recorded.keys() if digests.get(k) != recorded.get(k))
+        if differ:
+            raise CliError(f"{what}: {', '.join(differ)}")
+
+
 def _execute(subcommand: str, config: dict, outputs: dict, recorded: Optional[dict] = None) -> None:
     """Run one job, write its manifest and print its summary.
 
-    `recorded` holds the input digests of a manifest being replayed; the job
-    is refused when an input file no longer matches them.
+    The job is refused before it reads or writes anything when two of its
+    paths name one file. `recorded` is a manifest being replayed: the job is
+    refused when an input file no longer matches the manifest's `inputs`, and
+    fails after the run when an output does not match its `digests`.
     """
     pipeline = PIPELINES[subcommand]
+    manifest_path = outputs[pipeline.outputs[0]] + ".manifest.json"
+    seen: dict[str, str] = {}
+    for name, path in [*((key, config[key]) for key in pipeline.inputs), *outputs.items(), ("manifest", manifest_path)]:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise CliError(f"{seen[real]} and {name} {path} are the same file")
+        seen[real] = f"{name} {path}"
+    recorded = recorded or {}
     inputs = {config[key]: _sha256(config[key]) for key in pipeline.inputs}
-    if recorded is not None:
-        changed = sorted(p for p in inputs.keys() | recorded.keys() if inputs.get(p) != recorded.get(p))
-        if changed:
-            raise CliError(f"input changed since the manifest was written: {', '.join(changed)}")
+    _check_digests("input changed since the manifest was written", inputs, recorded.get("inputs"))
     summary = pipeline.run(config, outputs)
+    digests = {name: _sha256(path) for name, path in outputs.items()}
     manifest = {"tool": TOOL, "tool_version": __version__, "subcommand": subcommand,
-                "config": config, "outputs": outputs, "inputs": inputs}
-    _write_text(outputs[pipeline.outputs[0]] + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                "config": config, "outputs": outputs, "inputs": inputs, "digests": digests}
+    _write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if summary is not None:
         print(summary)
+    _check_digests("output differs from the manifest's digest", digests, recorded.get("digests"))
 
 
 def cmd_pipeline(args) -> int:
@@ -300,9 +319,12 @@ def cmd_rsu_serve(args) -> int:
     with _invalid_config(args.config):
         cfg = rsu.RsuConfig.from_dict(_load_json(args.config))
     try:
-        served = rsu.serve(cfg)
+        with _file_errors("read", cfg.artifact_path):
+            artifact_doc = imitation.load_artifact(cfg.artifact_path).to_doc()
     except imitation.ArtifactError as exc:
         raise CliError(f"artifact load failed: {exc}") from exc
+    try:
+        served = rsu.serve(cfg, artifact_doc)
     except OSError as exc:
         raise CliError(f"cannot bind {cfg.host}:{cfg.port}: {exc}") from exc
     print(f"served={served}")
@@ -340,15 +362,16 @@ def cmd_replay(args) -> int:
     pipeline = PIPELINES.get(sub) if isinstance(sub, str) else None
     if pipeline is None:
         raise CliError(f"{args.manifest}: manifest subcommand {sub!r} is not replayable")
-    config, outputs, recorded = manifest.get("config"), manifest.get("outputs"), manifest.get("inputs")
+    config, outputs = manifest.get("config"), manifest.get("outputs")
     if not (_names_files(config, pipeline.inputs) and _names_files(outputs, pipeline.outputs)
-            and isinstance(recorded, (dict, type(None)))):
+            and all(isinstance(manifest.get(key), (dict, type(None))) for key in ("inputs", "digests"))):
         raise CliError(f"{args.manifest}: malformed {sub} manifest: config needs file names under "
-                       f"{list(pipeline.inputs)} and outputs under {list(pipeline.outputs)}")
+                       f"{list(pipeline.inputs)} and outputs under {list(pipeline.outputs)}; "
+                       "inputs and digests, where given, are objects")
     outputs = {name: outputs[name] for name in pipeline.outputs}
     if args.out_dir:
         outputs = {name: os.path.join(args.out_dir, os.path.basename(path)) for name, path in outputs.items()}
-    _execute(sub, config, outputs, recorded)
+    _execute(sub, config, outputs, manifest)
     return EXIT_OK
 
 

@@ -329,7 +329,7 @@ def write_dataset(samples: Sequence[SequenceSample], path) -> None:
                 json.dumps(
                     {
                         "sequence_id": s.sequence_id,
-                        "encoder": {"k": s.encoder.k, "v_norm": s.encoder.v_norm, "d_norm": s.encoder.d_norm},
+                        "encoder": asdict(s.encoder),
                         "features": s.features.tolist(),
                         "targets": s.targets.tolist(),
                     },
@@ -349,13 +349,12 @@ def read_dataset(path) -> list[SequenceSample]:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: bad JSON on line {line_no}: {exc}") from exc
-            enc = EncoderConfig(**doc["encoder"])
             samples.append(
                 SequenceSample(
                     doc["sequence_id"],
                     np.asarray(doc["features"], dtype=np.float64),
                     np.asarray(doc["targets"], dtype=np.float64),
-                    enc,
+                    EncoderConfig.from_dict(doc["encoder"]),
                 )
             )
     return samples
@@ -376,18 +375,14 @@ class PolicyArtifact:
         return rnn.SeqModel(self.model_cfg, *(self.params[n].copy() for n in rnn.SeqModel.PARAM_NAMES))
 
     def to_doc(self) -> dict:
-        payload = _artifact_payload(self)
-        payload["checksum"] = _payload_checksum(payload)
-        return payload
-
-
-def _artifact_payload(artifact: PolicyArtifact) -> dict:
-    return {
-        "format_version": ARTIFACT_VERSION,
-        "model": asdict(artifact.model_cfg),
-        "encoder": asdict(artifact.encoder),
-        "params": {name: arr.ravel().tolist() for name, arr in artifact.params.items()},
-    }
+        doc = {
+            "format_version": ARTIFACT_VERSION,
+            "model": asdict(self.model_cfg),
+            "encoder": asdict(self.encoder),
+            "params": {name: arr.ravel().tolist() for name, arr in self.params.items()},
+        }
+        doc["checksum"] = _payload_checksum(doc)
+        return doc
 
 
 def _payload_checksum(payload: dict) -> int:
@@ -433,7 +428,7 @@ def load_artifact(path) -> PolicyArtifact:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"truncated or invalid artifact file: {exc}") from exc
     return artifact_from_doc(doc)
 
@@ -481,8 +476,7 @@ def train_policy(samples: Sequence[SequenceSample], cfg: TrainConfig) -> tuple[P
     model = rnn.SeqModel.initialize(model_cfg)
     model, history = rnn.fit(model, train_set, val_set, epochs=cfg.epochs, patience=cfg.patience, lr=cfg.lr,
                              seed=cfg.seed)
-    params = {name: arr.copy() for name, arr in model.params().items()}
-    return PolicyArtifact(model_cfg, encoder, params), history
+    return PolicyArtifact(model_cfg, encoder, model.params()), history
 
 
 @dataclass

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
@@ -253,32 +254,23 @@ def train(
     """Run the full schedule and aggregate one MetricsBucket per `bucket` episodes."""
     q = QTable(v2v=learn_cfg.v2v)
     buckets: list[MetricsBucket] = []
-    count = goals = goal_steps = crashes = quick = timeouts = 0
     loop = run_episodes(road_cfg, reward_cfg, q, learn_cfg.seed, learn_cfg.episodes, learn_cfg)
-    for episode, (steps, event) in enumerate(loop):
-        count += 1
-        if event == GOAL:
-            goals += 1
-            goal_steps += steps
-            if steps < QUICK_LIMIT:
-                quick += 1
-        elif event == ALIVE:
-            timeouts += 1
-        else:
-            crashes += 1
-        if count == learn_cfg.bucket or episode == learn_cfg.episodes - 1:
-            buckets.append(
-                MetricsBucket(
-                    index=len(buckets),
-                    episodes=count,
-                    avg_time_to_goal=goal_steps / goals if goals else None,
-                    crash_rate=crashes / count,
-                    quick_rate=quick / count,
-                    timeout_rate=timeouts / count,
-                    epsilon=epsilon_at(learn_cfg, episode),
-                )
+    # read to the end: the last, empty slice runs the update pending after the final episode
+    while chunk := list(islice(loop, learn_cfg.bucket)):
+        n = len(chunk)
+        goals = [steps for steps, event in chunk if event == GOAL]
+        timeouts = sum(event == ALIVE for _, event in chunk)
+        buckets.append(
+            MetricsBucket(
+                index=len(buckets),
+                episodes=n,
+                avg_time_to_goal=sum(goals) / len(goals) if goals else None,
+                crash_rate=(n - len(goals) - timeouts) / n,
+                quick_rate=sum(steps < QUICK_LIMIT for steps in goals) / n,
+                timeout_rate=timeouts / n,
+                epsilon=epsilon_at(learn_cfg, len(buckets) * learn_cfg.bucket + n - 1),
             )
-            count = goals = goal_steps = crashes = quick = timeouts = 0
+        )
     return q, buckets
 
 

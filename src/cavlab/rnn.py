@@ -30,6 +30,7 @@ from .config import Config
 from .rng import Rng
 
 _CHUNK = 64  # steps per product buffer in backward's sums over time
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's fixed constants (Kingma & Ba)
 
 
 class TrainingError(RuntimeError):
@@ -189,16 +190,13 @@ def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_model(cls, model: SeqModel, lr: float = 1e-3) -> "AdamState":
+    def for_model(cls, model: SeqModel, lr: float) -> "AdamState":
         state = cls(lr=lr)
         for name, p in model.params().items():
             state.m[name] = np.zeros_like(p)
@@ -210,19 +208,19 @@ def adam_step(model: SeqModel, grads: dict[str, np.ndarray], state: AdamState) -
     """One in-place Adam update with bias correction."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     for name, p in model.params().items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 @dataclass
@@ -236,9 +234,9 @@ def fit(
     train_set: Sequence[tuple[np.ndarray, np.ndarray]],
     val_set: Sequence[tuple[np.ndarray, np.ndarray]],
     epochs: int,
-    patience: Optional[int] = None,
-    lr: float = 1e-3,
-    seed: int = 0,
+    patience: Optional[int],
+    lr: float,
+    seed: int,
 ) -> tuple[SeqModel, LossHistory]:
     """Full-BPTT training, one Adam step per sequence, seeded shuffling.
 
@@ -283,6 +281,4 @@ def fit(
                 stale += 1
                 if patience is not None and stale >= patience:
                     break
-    if best_model is not None:
-        return best_model, history
-    return model, history
+    return (model if best_model is None else best_model), history

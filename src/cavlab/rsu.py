@@ -11,8 +11,8 @@ and receives exactly one of
     {"type": "none", "reason": "outside_geofence"}
     {"type": "error", "code": "bad_request", "detail": "..."}
 
-The served artifact document is loaded once, before the socket is made, and is
-byte-identical across requests; `RsuServer` is a `socketserver.ThreadingTCPServer`.
+The artifact document is handed to the server, which validates it before the socket
+is made and serves it byte-identical across requests; `RsuServer` is a `socketserver.ThreadingTCPServer`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .config import Config
-from .imitation import PolicyArtifact, artifact_from_doc, load_artifact
+from .imitation import PolicyArtifact, artifact_from_doc
 
 MAX_REQUEST = 4 * 1024  # a hello is ~60 bytes; bounds what each connection may buffer
 MAX_LINE = 64 * 1024 * 1024  # guard against unbounded response lines
@@ -127,12 +127,9 @@ class RsuServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     request_queue_size = 64
 
-    def __init__(self, cfg: RsuConfig, artifact_doc: Optional[dict] = None):
+    def __init__(self, cfg: RsuConfig, artifact_doc: dict):
         self.cfg = cfg
-        if artifact_doc is None:
-            artifact_doc = load_artifact(cfg.artifact_path).to_doc()
-        else:
-            artifact_from_doc(artifact_doc)  # validate before serving
+        artifact_from_doc(artifact_doc)  # validate before serving
         self._artifact_doc = artifact_doc
         self._payload = (json.dumps({"type": "policy", "artifact": artifact_doc}) + "\n").encode("utf-8")
         self._slots = threading.Semaphore(cfg.max_connections)
@@ -200,15 +197,15 @@ class RsuServer(socketserver.ThreadingTCPServer):
         self.server_close()
 
 
-def serve(cfg: RsuConfig) -> int:
-    """Blocking server run; returns the request count after SIGINT/SIGTERM.
+def serve(cfg: RsuConfig, artifact_doc: dict) -> int:
+    """Blocking server run of `artifact_doc`; returns the request count after SIGINT/SIGTERM.
 
     Once bound it prints `listening host:port` on stderr, so a port of 0
     (ephemeral) can be found by clients.
     """
     import signal
 
-    server = RsuServer(cfg)
+    server = RsuServer(cfg, artifact_doc)
     server.start()
     print(f"listening {cfg.host}:{server.port}", file=sys.stderr, flush=True)
     done = threading.Event()

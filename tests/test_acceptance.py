@@ -209,7 +209,7 @@ class TestA6Memorization:
         xs = rng.uniform(0, 1, size=(20, 3))
         target = np.stack([xs[:, 0] * 0.8, xs[:, 1] * 0.2 + 0.1], axis=1)
         model = rnn.SeqModel.initialize(rnn.ModelConfig(input_dim=3, output_dim=2, hidden_dim=32, seed=0))
-        model, hist = rnn.fit(model, [(xs, target)], [], epochs=2000, lr=1e-3, seed=0)
+        model, hist = rnn.fit(model, [(xs, target)], [], epochs=2000, patience=None, lr=1e-3, seed=0)
         best = min(hist.train_mse)
         hit = next((i for i, v in enumerate(hist.train_mse) if v < 1e-3), None)
         report("A6", best < 1e-3, f"single-sequence training MSE {best:.2e} (< 1e-3 first at epoch {hit})")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +350,7 @@ class TestReplay:
         replayed = json.loads((out_dir / f"{primary}.manifest.json").read_text())
         assert replayed["config"] == original["config"]
         assert replayed["inputs"] == original["inputs"]
+        assert replayed["digests"] == original["digests"]
         assert replayed["outputs"] == {k: str(out_dir / os.path.basename(v)) for k, v in original["outputs"].items()}
 
     def test_inputs_are_hashed(self, tmp_path, recorded):
@@ -365,6 +367,35 @@ class TestReplay:
         assert str(tmp_path / "log.xml") in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    def test_output_digests_are_recorded(self, tmp_path, recorded):
+        for primary, _ in RECORDED.values():
+            manifest = json.loads((tmp_path / f"{primary}.manifest.json").read_text())
+            assert manifest["digests"] == {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                                           for name, path in manifest["outputs"].items()}
+
+    def test_changed_output_exit_1_naming_it(self, tmp_path, recorded, capsys):
+        path = tmp_path / "data.jsonl.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["digests"]["report"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code, out_dir = self.replay(tmp_path, "ingest")
+        assert code == 1
+        assert capsys.readouterr().err == "cavlab: error: output differs from the manifest's digest: report\n"
+        # the replayed files stay for inspection, and match the originals
+        assert sorted(p.name for p in out_dir.iterdir()) == ["data.jsonl", "data.jsonl.manifest.json",
+                                                            "data.jsonl.rejects.json"]
+        assert (out_dir / "data.jsonl.rejects.json").read_bytes() == (tmp_path / "data.jsonl.rejects.json").read_bytes()
+
+    def test_manifest_without_digests_still_replays(self, tmp_path, recorded):
+        path = tmp_path / "p.json.manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["digests"]
+        path.write_text(json.dumps(manifest))
+        code, out_dir = self.replay(tmp_path, "imitate-train")
+        assert code == 0
+        assert (out_dir / "p.json").read_bytes() == (tmp_path / "p.json").read_bytes()
+
     def test_manifest_without_inputs_still_replays(self, tmp_path, recorded):
         path = tmp_path / "e.csv.manifest.json"
         manifest = json.loads(path.read_text())
@@ -375,7 +406,8 @@ class TestReplay:
         assert (out_dir / "e.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
 
     @pytest.mark.parametrize("damage", ["json-list", "unknown-subcommand", "ingest-empty-config",
-                                        "ingest-no-filter", "sim-train-no-outputs", "inputs-not-object"])
+                                        "ingest-no-filter", "sim-train-no-outputs", "inputs-not-object",
+                                        "digests-not-object"])
     def test_malformed_manifest_exit_1(self, tmp_path, recorded, capsys, damage):
         path = tmp_path / "m.csv.manifest.json"
         manifest = json.loads(path.read_text())
@@ -391,8 +423,10 @@ class TestReplay:
             manifest = ingest
         elif damage == "sim-train-no-outputs":
             del manifest["outputs"]
-        else:
+        elif damage == "inputs-not-object":
             manifest["inputs"] = []
+        else:
+            manifest["digests"] = "m.csv"
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
         assert run_cli("replay", "--manifest", path, "--out-dir", tmp_path) == 1
@@ -460,8 +494,45 @@ class TestReplay:
         code, out_dir = self.replay(tmp_path, sub)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("cavlab: error:") and f"unknown keys: ['{name}']" in err
+        assert err.startswith(f"cavlab: error: {sub}: invalid configuration:") and f"unknown keys: ['{name}']" in err
         assert list(out_dir.iterdir()) == []
+
+
+class TestSameFile:
+    """A job two of whose paths name one file is refused before it reads or writes anything."""
+
+    def test_ingest_report_over_dataset(self, tmp_path, capsys):
+        (tmp_path / "log.xml").write_text(merge_log(3, seed=11))
+        out = tmp_path / "d.jsonl"
+        capsys.readouterr()
+        assert run_cli("ingest", "--xml", tmp_path / "log.xml", "--ego", "ego*", "--out", out, "--report-out", out) == 1
+        assert capsys.readouterr().err == f"cavlab: error: dataset {out} and report {out} are the same file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.xml"]
+
+    def test_eval_csv_over_its_dataset(self, tmp_path, dataset, capsys):
+        job = tmp_path / "job"
+        job.mkdir()
+        data, art = job / "d.jsonl", job / "p.json"
+        data.write_bytes(dataset.read_bytes())
+        assert run_cli("imitate-train", "--dataset", data, "--epochs", 1, "--hidden", 4, "--artifact-out", art) == 0
+        os.remove(str(art) + ".manifest.json")
+        capsys.readouterr()
+        assert run_cli("imitate-eval", "--artifact", art, "--dataset", data, "--csv-out", data) == 1
+        assert capsys.readouterr().err == f"cavlab: error: dataset {data} and csv {data} are the same file\n"
+        assert sorted(p.name for p in job.iterdir()) == ["d.jsonl", "p.json"]
+        assert data.read_bytes() == dataset.read_bytes()
+
+    def test_replay_out_dir_onto_one_file(self, tmp_path, capsys):
+        (tmp_path / "log.xml").write_text(merge_log(3, seed=11))
+        for name in ("a", "b", "r"):
+            (tmp_path / name).mkdir()
+        assert run_cli("ingest", "--xml", tmp_path / "log.xml", "--ego", "ego*", "--out", tmp_path / "a" / "d.jsonl",
+                       "--report-out", tmp_path / "b" / "d.jsonl") == 0
+        capsys.readouterr()
+        assert run_cli("replay", "--manifest", tmp_path / "a" / "d.jsonl.manifest.json", "--out-dir", tmp_path / "r") == 1
+        folded = tmp_path / "r" / "d.jsonl"
+        assert capsys.readouterr().err == f"cavlab: error: dataset {folded} and report {folded} are the same file\n"
+        assert list((tmp_path / "r").iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -665,10 +736,28 @@ class TestRsuCli:
             assert run_cli("rsu-serve", "--config", cfg) == 1
         assert "cannot bind" in capsys.readouterr().err
 
-    def test_serve_missing_artifact_exit_1(self, tmp_path):
-        cfg = self.rsu_config(tmp_path, tmp_path / "missing.json", free_port())
+    def test_serve_missing_artifact_exit_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        cfg = self.rsu_config(tmp_path, missing, free_port())
+        capsys.readouterr()
         code = run_cli("rsu-serve", "--config", cfg)
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cavlab: error: cannot read {missing}: ") and "cannot bind" not in err
+
+    @pytest.mark.parametrize("kind, message", [("directory", "cannot read "), ("not-utf8", "artifact load failed: ")],
+                             ids=["directory", "not-utf8"])
+    def test_serve_unreadable_artifact_exit_1(self, tmp_path, capsys, kind, message):
+        artifact = tmp_path / "p.json"
+        if kind == "directory":
+            artifact.mkdir()
+        else:
+            artifact.write_bytes(b"\xff\xfe{")
+        cfg = self.rsu_config(tmp_path, artifact, free_port())
+        capsys.readouterr()
+        assert run_cli("rsu-serve", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cavlab: error: {message}") and "cannot bind" not in err
 
 
 class TestUsage:

@@ -41,6 +41,7 @@ from cavlab.imitation import (
     train_policy,
     write_dataset,
 )
+from cavlab.config import ConfigError
 from cavlab.rng import Rng
 from merge_fixture import merge_log, serialize_fcd
 
@@ -467,6 +468,15 @@ class TestDatasetFile:
         assert len(lines) == 4
         for line in lines:
             json.loads(line)
+
+    def test_unknown_encoder_key_refused(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_dataset([encode_features(traj([(0.0, 0.0, 10.0, 90.0)]), EncoderConfig(), sequence_id="s0")], path)
+        doc = json.loads(path.read_text())
+        doc["encoder"]["k_max"] = 4
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ConfigError, match=r"EncoderConfig: unknown keys: \['k_max'\]"):
+            read_dataset(path)
 
 
 def make_samples(n, seed=0, T=20):

@@ -256,7 +256,7 @@ class TestAdam:
     def test_zero_gradient_no_change(self):
         model = SeqModel.initialize(ModelConfig(input_dim=2, output_dim=1, hidden_dim=2, seed=0))
         before = {n: p.copy() for n, p in model.params().items()}
-        state = AdamState.for_model(model)
+        state = AdamState.for_model(model, lr=1e-3)
         zeros = {n: np.zeros_like(p) for n, p in model.params().items()}
         adam_step(model, zeros, state)
         for n, p in model.params().items():
@@ -273,7 +273,7 @@ class TestAdam:
 
     def test_non_finite_gradient_raises(self):
         model = zero_model(1, 1, 1)
-        state = AdamState.for_model(model)
+        state = AdamState.for_model(model, lr=1e-3)
         grads = {n: np.zeros_like(p) for n, p in model.params().items()}
         grads["wy"] = np.array([[math.nan]])
         with pytest.raises(TrainingError):
@@ -305,27 +305,27 @@ class TestFit:
     def test_epochs_zero_returns_unchanged(self):
         model = SeqModel.initialize(ModelConfig(input_dim=3, output_dim=2, hidden_dim=4, seed=1))
         before = {n: p.copy() for n, p in model.params().items()}
-        out, hist = fit(model, [self.seq()], [], epochs=0)
+        out, hist = fit(model, [self.seq()], [], epochs=0, patience=None, lr=1e-3, seed=0)
         assert hist.train_mse == [] and hist.val_mse == []
         for n, p in out.params().items():
             assert np.array_equal(p, before[n])
 
     def test_single_sequence_memorization(self):
         model = SeqModel.initialize(ModelConfig(input_dim=3, output_dim=2, hidden_dim=8, seed=2))
-        out, hist = fit(model, [self.seq()], [], epochs=800, lr=1e-2, seed=0)
+        out, hist = fit(model, [self.seq()], [], epochs=800, patience=None, lr=1e-2, seed=0)
         assert hist.train_mse[-1] < 1e-3
         assert len(hist.train_mse) == 800
 
     def test_patience_one_constant_val_stops_after_two_epochs(self):
         model = zero_model()  # zero model never improves: val loss constant
         xs, tg = np.ones((4, 3)), np.zeros((4, 2))
-        out, hist = fit(model, [(xs, tg)], [(xs, tg)], epochs=50, patience=1, lr=0.0)
+        out, hist = fit(model, [(xs, tg)], [(xs, tg)], epochs=50, patience=1, lr=0.0, seed=0)
         assert len(hist.val_mse) == 2
 
     def test_empty_train_set_rejected(self):
         model = zero_model()
         with pytest.raises(ValueError):
-            fit(model, [], [], epochs=1)
+            fit(model, [], [], epochs=1, patience=None, lr=1e-3, seed=0)
 
     def test_returns_best_validation_model(self):
         # lr high enough to overshoot eventually: best-val snapshot must win
