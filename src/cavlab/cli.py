@@ -38,33 +38,41 @@ class CliError(Exception):
 
 
 @contextlib.contextmanager
-def _file_errors(verb: str, path: str):
-    """Report an OSError on `path` as the CliError `cannot <verb> <path>: ...`."""
+def _reading(path: str, what: str = ""):
+    """The one rule for a failed read of input `path`: CliError `cannot read <path>: ...` or `<path>: <what><error>`."""
     try:
         yield
     except OSError as exc:
-        raise CliError(f"cannot {verb} {path}: {exc}") from exc
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {what}{exc}") from exc
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError on `path` as the CliError `cannot write <path>: ...`."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
-    try:
-        with _file_errors("read", path), open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:
-        raise CliError(f"{path}: invalid JSON: {exc}") from exc
+    with _reading(path, "invalid JSON: "), open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: expected a JSON object")
     return doc
 
 
 def _write_text(path: str, text: str) -> None:
-    with _file_errors("write", path), open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
-    with _file_errors("read", path), open(path, "rb") as fh:
+    with _reading(path), open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
@@ -141,11 +149,8 @@ def _run_sim_eval(config: dict, outputs: dict) -> str:
         road, reward, path, seed, runs = check_types(config, kinds).values()
         if runs < 0:
             raise ValueError(f"runs must be >= 0, got {runs}")
-    try:
-        with _file_errors("read", path), open(path, "r", encoding="utf-8") as fh:
-            table = qlearn.QTable.from_json(fh.read())
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"{path}: invalid Q-table: {exc}") from exc
+    with _reading(path, "invalid Q-table: "), open(path, "r", encoding="utf-8") as fh:
+        table = qlearn.QTable.from_json(fh.read())
     lines = [qlearn.TRACE_HEADER]
     stats = list(qlearn.run_episodes(road, reward, table, seed, runs, trace=lines))
     _write_text(outputs["trace"], "\n".join(lines) + "\n")
@@ -170,11 +175,8 @@ def _run_ingest(config: dict, outputs: dict) -> str:
     with _invalid_config("ingest"):
         xml, ego, filt, enc = check_types(config, {"xml": str, "ego": str, "filter": imitation.FilterConfig,
                                                    "encoder": imitation.EncoderConfig}).values()
-    try:
-        with _file_errors("read", xml), open(xml, "rb") as fh:
-            timesteps = imitation.parse_fcd(fh)
-    except imitation.FcdParseError as exc:
-        raise CliError(f"{xml}: {exc}") from exc
+    with _reading(xml), open(xml, "rb") as fh:
+        timesteps = imitation.parse_fcd(fh)
 
     trajectories = imitation.extract_ego_sequences(timesteps, ego)
     samples = []
@@ -187,7 +189,7 @@ def _run_ingest(config: dict, outputs: dict) -> str:
         else:
             rejects.append({"ego_id": traj.ego_id, "index": i, "steps": len(traj), "reason": verdict.reason})
             counts[verdict.reason] = counts.get(verdict.reason, 0) + 1
-    with _file_errors("write", outputs["dataset"]):
+    with _writing(outputs["dataset"]):
         imitation.write_dataset(samples, outputs["dataset"])
     report = {"rejected": rejects, "by_reason": counts}
     _write_text(outputs["report"], json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -197,11 +199,8 @@ def _run_ingest(config: dict, outputs: dict) -> str:
 # --- imitate-train / imitate-eval ---
 
 def _read_samples(path: str) -> list:
-    try:
-        with _file_errors("read", path):
-            samples = imitation.read_dataset(path)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path}: invalid dataset: {exc}") from exc
+    with _reading(path, "invalid dataset: "):
+        samples = imitation.read_dataset(path)
     if not samples:
         raise CliError(f"{path}: dataset is empty")
     return samples
@@ -222,7 +221,7 @@ def _run_imitate_train(config: dict, outputs: dict) -> str:
         raise CliError(f"training failed: {exc}") from exc
     except ValueError as exc:  # too few sequences or mixed encoders
         raise CliError(str(exc)) from exc
-    with _file_errors("write", outputs["artifact"]):
+    with _writing(outputs["artifact"]):
         imitation.save_artifact(artifact, outputs["artifact"])
     final_train = history.train_mse[-1] if history.train_mse else math.nan
     final_val = history.val_mse[-1] if history.val_mse else math.nan
@@ -236,11 +235,8 @@ def _resolve_imitate_eval(args) -> list:
 def _run_imitate_eval(config: dict, outputs: dict) -> str:
     with _invalid_config("imitate-eval"):
         path, dataset = check_types(config, {"artifact": str, "dataset": str}).values()
-    try:
-        with _file_errors("read", path):
-            artifact = imitation.load_artifact(path)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    with _reading(path):
+        artifact = imitation.load_artifact(path)
     samples = _read_samples(dataset)
     try:
         report = imitation.evaluate_policy(artifact, samples)
@@ -318,13 +314,10 @@ def cmd_pipeline(args) -> int:
 def cmd_rsu_serve(args) -> int:
     with _invalid_config(args.config):
         cfg = rsu.RsuConfig.from_dict(_load_json(args.config))
+    with _reading(cfg.artifact_path):
+        artifact = imitation.load_artifact(cfg.artifact_path)
     try:
-        with _file_errors("read", cfg.artifact_path):
-            artifact_doc = imitation.load_artifact(cfg.artifact_path).to_doc()
-    except imitation.ArtifactError as exc:
-        raise CliError(f"artifact load failed: {exc}") from exc
-    try:
-        served = rsu.serve(cfg, artifact_doc)
+        served = rsu.serve(cfg, artifact)
     except OSError as exc:
         raise CliError(f"cannot bind {cfg.host}:{cfg.port}: {exc}") from exc
     print(f"served={served}")
@@ -344,7 +337,7 @@ def cmd_rsu_fetch(args) -> int:
     if artifact is None:
         print("outside geofence: no policy served", file=sys.stderr)
         return EXIT_NONE
-    with _file_errors("write", args.out):
+    with _writing(args.out):
         imitation.save_artifact(artifact, args.out)
     print(f"artifact written to {args.out}")
     return EXIT_OK

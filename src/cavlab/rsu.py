@@ -11,13 +11,14 @@ and receives exactly one of
     {"type": "none", "reason": "outside_geofence"}
     {"type": "error", "code": "bad_request", "detail": "..."}
 
-The artifact document is handed to the server, which validates it before the socket
-is made and serves it byte-identical across requests; `RsuServer` is a `socketserver.ThreadingTCPServer`.
+The server is handed the loaded `PolicyArtifact`, builds its document once and serves
+it byte-identical across requests; `RsuServer` is a `socketserver.ThreadingTCPServer`.
 """
 
 from __future__ import annotations
 
 import json
+import signal
 import socket
 import socketserver
 import sys
@@ -120,36 +121,29 @@ def _read_line(conn: socket.socket, limit: int, deadline: float) -> bytes:
 
 
 class RsuServer(socketserver.ThreadingTCPServer):
-    """Threaded one-request-per-connection server around an immutable artifact."""
+    """Threaded one-request-per-connection server around an immutable artifact; it binds when constructed."""
 
     daemon_threads = True
     block_on_close = False  # stop() does not wait for a handler blocked on a slow client
     allow_reuse_address = True
     request_queue_size = 64
 
-    def __init__(self, cfg: RsuConfig, artifact_doc: dict):
+    def __init__(self, cfg: RsuConfig, artifact: PolicyArtifact):
         self.cfg = cfg
-        artifact_from_doc(artifact_doc)  # validate before serving
-        self._artifact_doc = artifact_doc
-        self._payload = (json.dumps({"type": "policy", "artifact": artifact_doc}) + "\n").encode("utf-8")
+        self._artifact_doc = artifact.to_doc()
+        self._payload = (json.dumps({"type": "policy", "artifact": self._artifact_doc}) + "\n").encode("utf-8")
         self._slots = threading.Semaphore(cfg.max_connections)
         self._stop = threading.Event()
         self._serving: Optional[threading.Thread] = None
         self.requests_served = 0
         self._count_lock = threading.Lock()
-        super().__init__((cfg.host, cfg.port), None, bind_and_activate=False)  # no handler class: see finish_request
+        super().__init__((cfg.host, cfg.port), None)  # binds and listens; no handler class: see finish_request
 
     @property
     def port(self) -> int:
         return self.server_address[1]
 
     def start(self) -> None:
-        try:
-            self.server_bind()
-            self.server_activate()
-        except OSError:
-            self.server_close()
-            raise
         self._serving = threading.Thread(target=self.serve_forever, args=(0.2,), daemon=True)
         self._serving.start()
 
@@ -197,25 +191,22 @@ class RsuServer(socketserver.ThreadingTCPServer):
         self.server_close()
 
 
-def serve(cfg: RsuConfig, artifact_doc: dict) -> int:
-    """Blocking server run of `artifact_doc`; returns the request count after SIGINT/SIGTERM.
+def serve(cfg: RsuConfig, artifact: PolicyArtifact) -> int:
+    """Blocking server run of `artifact`; returns the request count after SIGINT/SIGTERM.
 
     Once bound it prints `listening host:port` on stderr, so a port of 0
     (ephemeral) can be found by clients.
     """
-    import signal
-
-    server = RsuServer(cfg, artifact_doc)
+    server = RsuServer(cfg, artifact)
+    # Handlers go in before the first request is served and only append (Event.set takes a lock the main thread may
+    # hold); the main thread polls, as a signal that lands on another thread (numpy's BLAS pool) does not wake it.
+    stopping = []
+    for signo in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signo, lambda signo, _frame: stopping.append(signo))
     server.start()
     print(f"listening {cfg.host}:{server.port}", file=sys.stderr, flush=True)
-    done = threading.Event()
-
-    def _sig(_signo, _frame):
-        done.set()
-
-    signal.signal(signal.SIGINT, _sig)
-    signal.signal(signal.SIGTERM, _sig)
-    done.wait()
+    while not stopping:
+        time.sleep(0.2)
     server.stop()
     return server.requests_served
 

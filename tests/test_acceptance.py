@@ -301,10 +301,8 @@ class TestA9RsuEndToEnd:
         ]
         artifact, _ = train_policy(samples, TrainConfig(hidden=8, epochs=5, patience=None, seed=4))
         server_model = artifact.build_model()
-        doc = artifact.to_doc()
 
-        server = RsuServer(RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), max_connections=16),
-                           artifact_doc=doc)
+        server = RsuServer(RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), max_connections=16), artifact)
         server.start()
         try:
             fetched = fetch("127.0.0.1", server.port, "cav-1", 50.0, 5.0)

@@ -559,8 +559,7 @@ def workspace(tmp_path_factory):
                       ("learn-decay-float", {"learn": {"epsilon_decay_episodes": 2.5}}),
                       ("unknown-section", {"raod": {"length": 5}, "learn": {"episodes": 3}})):
         (root / f"{name}.json").write_text(json.dumps(doc))
-    server = RsuServer(RsuConfig(geofence=Geofence(0.0, 200.0, -10.0, 10.0)),
-                       artifact_doc=load_artifact(root / "p.json").to_doc())
+    server = RsuServer(RsuConfig(geofence=Geofence(0.0, 200.0, -10.0, 10.0)), load_artifact(root / "p.json"))
     server.start()
     yield {"root": root, "endpoint": f"127.0.0.1:{server.port}"}
     server.stop()
@@ -745,7 +744,8 @@ class TestRsuCli:
         err = capsys.readouterr().err
         assert err.startswith(f"cavlab: error: cannot read {missing}: ") and "cannot bind" not in err
 
-    @pytest.mark.parametrize("kind, message", [("directory", "cannot read "), ("not-utf8", "artifact load failed: ")],
+    @pytest.mark.parametrize("kind, message", [("directory", "cannot read {}: "),
+                                               ("not-utf8", "{}: truncated or invalid artifact file: ")],
                              ids=["directory", "not-utf8"])
     def test_serve_unreadable_artifact_exit_1(self, tmp_path, capsys, kind, message):
         artifact = tmp_path / "p.json"
@@ -757,7 +757,7 @@ class TestRsuCli:
         capsys.readouterr()
         assert run_cli("rsu-serve", "--config", cfg) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"cavlab: error: {message}") and "cannot bind" not in err
+        assert err.startswith("cavlab: error: " + message.format(artifact)) and "cannot bind" not in err
 
 
 class TestUsage:

@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -22,16 +25,20 @@ from cavlab.rsu import (
 
 
 @pytest.fixture(scope="module")
-def artifact_doc():
+def artifact():
     cfg = rnn.ModelConfig(input_dim=9, output_dim=2, hidden_dim=4, seed=3)
     model = rnn.SeqModel.initialize(cfg)
-    art = PolicyArtifact(cfg, EncoderConfig(), {n: a.copy() for n, a in model.params().items()})
-    return art.to_doc()
+    return PolicyArtifact(cfg, EncoderConfig(), {n: a.copy() for n, a in model.params().items()})
+
+
+@pytest.fixture(scope="module")
+def artifact_doc(artifact):
+    return artifact.to_doc()
 
 
 @pytest.fixture()
-def server(artifact_doc):
-    srv = RsuServer(RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0)), artifact_doc=artifact_doc)
+def server(artifact):
+    srv = RsuServer(RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0)), artifact)
     srv.start()
     yield srv
     srv.stop()
@@ -167,10 +174,10 @@ class TestServeFetch:
                 pass  # closed while the client was still sending
         assert fetch("127.0.0.1", server.port, "car1", 50.0, 5.0) is not None
 
-    def test_corrupted_payload_fails_checksum(self, artifact_doc):
+    def test_corrupted_payload_fails_checksum(self, artifact, artifact_doc):
         bad = json.loads(json.dumps(artifact_doc))
         bad["params"]["by"][0] += 1.0
-        srv = RsuServer(RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0)), artifact_doc=artifact_doc)
+        srv = RsuServer(RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0)), artifact)
         srv._payload = (json.dumps({"type": "policy", "artifact": bad}) + "\n").encode()  # corrupt, set after validation
         srv.start()
         try:
@@ -179,9 +186,9 @@ class TestServeFetch:
         finally:
             srv.stop()
 
-    def test_silent_client_timeout_server_survives(self, artifact_doc):
+    def test_silent_client_timeout_server_survives(self, artifact):
         cfg = RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), timeout=0.3)
-        srv = RsuServer(cfg, artifact_doc=artifact_doc)
+        srv = RsuServer(cfg, artifact)
         srv.start()
         try:
             quiet = socket.create_connection(("127.0.0.1", srv.port), timeout=2.0)
@@ -192,17 +199,17 @@ class TestServeFetch:
         finally:
             srv.stop()
 
-    def test_stop_without_start(self, artifact_doc):
-        srv = RsuServer(RsuConfig(), artifact_doc=artifact_doc)
+    def test_stop_without_start(self, artifact):
+        srv = RsuServer(RsuConfig(), artifact)
         start = time.perf_counter()
-        srv.stop()  # closes the unbound socket; a leak fails the test as a ResourceWarning
+        srv.stop()  # closes the bound, never served socket; a leak fails the test as a ResourceWarning
         assert time.perf_counter() - start < 1.0
         del srv
         gc.collect()
 
-    def test_stop_with_every_slot_held(self, artifact_doc):
+    def test_stop_with_every_slot_held(self, artifact):
         cfg = RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), max_connections=1, timeout=3.0)
-        srv = RsuServer(cfg, artifact_doc=artifact_doc)
+        srv = RsuServer(cfg, artifact)
         srv.start()
         holder = socket.create_connection(("127.0.0.1", srv.port), timeout=5.0)
         time.sleep(0.3)  # the silent holder takes the only slot
@@ -217,10 +224,10 @@ class TestServeFetch:
             holder.close()
             pending.close()
 
-    def test_trickling_client_cannot_hold_the_only_slot(self, artifact_doc):
+    def test_trickling_client_cannot_hold_the_only_slot(self, artifact):
         # one deadline bounds the whole request line, not each recv
         cfg = RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), max_connections=1, timeout=0.5)
-        srv = RsuServer(cfg, artifact_doc=artifact_doc)
+        srv = RsuServer(cfg, artifact)
         srv.start()
         done = threading.Event()
 
@@ -273,9 +280,9 @@ class TestServeFetch:
             listener.close()
         assert not server.is_alive()
 
-    def test_soak_32_clients_cap_16(self, artifact_doc):
+    def test_soak_32_clients_cap_16(self, artifact):
         cfg = RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0), max_connections=16)
-        srv = RsuServer(cfg, artifact_doc=artifact_doc)
+        srv = RsuServer(cfg, artifact)
         srv.start()
         results = [None] * 32
         errors = []
@@ -301,3 +308,31 @@ class TestServeFetch:
             assert srv.requests_served == 32
         finally:
             srv.stop()
+
+
+SERVE_THEN_SIGNAL_A_HELPER_THREAD = """
+import signal, threading, time
+from cavlab import rnn
+from cavlab.imitation import EncoderConfig, PolicyArtifact
+from cavlab.rsu import RsuConfig, serve
+
+def kill_this_thread_once_handled():
+    while signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+        time.sleep(0.01)
+    signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+
+threading.Thread(target=kill_this_thread_once_handled, daemon=True).start()
+cfg = rnn.ModelConfig(input_dim=9, output_dim=2, hidden_dim=4, seed=3)
+print(f"served={serve(RsuConfig(), PolicyArtifact(cfg, EncoderConfig(), rnn.SeqModel.initialize(cfg).params()))}")
+"""
+
+
+def test_serve_stops_on_a_signal_another_thread_takes():
+    # the kernel may hand SIGTERM to any thread that does not block it; the main thread must still stop
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", SERVE_THEN_SIGNAL_A_HELPER_THREAD], env=env,
+                          capture_output=True, timeout=10.0)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == b"served=0\n"
