@@ -326,7 +326,7 @@ def cmd_rsu_serve(args) -> int:
 
 def cmd_rsu_fetch(args) -> int:
     host, _, port = args.endpoint.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdecimal():  # the digits int() reads: isdigit() also passes '²'
         raise CliError(f"endpoint must be host:port, got {args.endpoint!r}")
     try:
         artifact = rsu.fetch(host, int(port), args.id, args.x, args.y, timeout=args.timeout)

@@ -7,6 +7,7 @@ its annotation and then runs the subclass's range checks in `check`.
 from __future__ import annotations
 
 import functools
+import math
 import typing
 
 
@@ -31,6 +32,14 @@ def _read(name: str, value, kind):
     elif isinstance(value, (int, float) if kind is float else kind) and (kind is bool or not isinstance(value, bool)):
         return value
     raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+def finite_number(value) -> bool:
+    """An int or float, not a bool, that is finite as a float (a JSON integer may be too large for one)."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_types(values: dict, kinds: dict) -> dict:

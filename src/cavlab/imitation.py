@@ -340,6 +340,8 @@ def write_dataset(samples: Sequence[SequenceSample], path) -> None:
 
 
 def read_dataset(path) -> list[SequenceSample]:
+    """The samples of a dataset file; a line whose features are not (T, 1 + 2k) with T >= 1 for its
+    encoder's k, or whose targets are not (T, 2), raises ValueError naming the line."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -349,14 +351,18 @@ def read_dataset(path) -> list[SequenceSample]:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: bad JSON on line {line_no}: {exc}") from exc
-            samples.append(
-                SequenceSample(
-                    doc["sequence_id"],
-                    np.asarray(doc["features"], dtype=np.float64),
-                    np.asarray(doc["targets"], dtype=np.float64),
-                    EncoderConfig.from_dict(doc["encoder"]),
-                )
+            sample = SequenceSample(
+                doc["sequence_id"],
+                np.asarray(doc["features"], dtype=np.float64),
+                np.asarray(doc["targets"], dtype=np.float64),
+                EncoderConfig.from_dict(doc["encoder"]),
             )
+            width, steps = sample.encoder.feature_dim, len(sample.features)
+            if sample.features.ndim != 2 or steps < 1 or sample.features.shape[1] != width:
+                raise ValueError(f"line {line_no}: features must be (T, {width}), T >= 1, got {sample.features.shape}")
+            if sample.targets.shape != (steps, 2):
+                raise ValueError(f"line {line_no}: targets must be ({steps}, 2), got {sample.targets.shape}")
+            samples.append(sample)
     return samples
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-from .config import Config
+from .config import Config, finite_number
 from .rng import Rng
 from .world import (
     AGENT_START,
@@ -75,12 +75,17 @@ class QTable:
         doc = json.loads(text)
         if doc.get("version") != 1:
             raise ValueError(f"unsupported qtable version {doc.get('version')!r}")
-        table = cls(v2v=bool(doc["v2v"]))
-        for entry in doc["entries"]:
-            row = [float(x) for x in entry["q"]]
-            if len(row) != N_ACTIONS:
-                raise ValueError("qtable row must have 9 values")
-            table.entries[tuple(entry["key"])] = row
+        if not isinstance(doc["v2v"], bool):
+            raise ValueError(f"v2v must be true or false, got {doc['v2v']!r}")
+        table = cls(v2v=doc["v2v"])
+        width = 15 if table.v2v else 8  # encode_state: the speed and 7 distances, plus 7 speeds with v2v
+        for i, entry in enumerate(doc["entries"]):
+            key, row = entry["key"], entry["q"]
+            if not (isinstance(key, list) and len(key) == width and all(type(v) is int for v in key)):
+                raise ValueError(f"entry {i}: key must be a list of {width} ints")
+            if not (isinstance(row, list) and len(row) == N_ACTIONS and all(map(finite_number, row))):
+                raise ValueError(f"entry {i}: q must be a list of {N_ACTIONS} finite numbers")
+            table.entries[tuple(key)] = [float(q) for q in row]
         return table
 
 

@@ -13,6 +13,8 @@ and receives exactly one of
 
 The server is handed the loaded `PolicyArtifact`, builds its document once and serves
 it byte-identical across requests; `RsuServer` is a `socketserver.ThreadingTCPServer`.
+A request line that is not JSON, or a hello whose x or y is a bool, is not finite or
+is too large for a float, is answered `bad_request`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .config import Config
+from .config import Config, finite_number
 from .imitation import PolicyArtifact, artifact_from_doc
 
 MAX_REQUEST = 4 * 1024  # a hello is ~60 bytes; bounds what each connection may buffer
@@ -88,7 +90,7 @@ def handle_request(msg, geofence: Geofence, artifact_doc: dict) -> dict:
         return {"type": "error", "code": "bad_request", "detail": "expected a hello message"}
     vid = msg.get("vehicle_id")
     x, y = msg.get("x"), msg.get("y")
-    if not isinstance(vid, str) or not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
+    if not isinstance(vid, str) or not finite_number(x) or not finite_number(y):
         return {"type": "error", "code": "bad_request", "detail": "hello needs vehicle_id, x, y"}
     if geofence.contains(float(x), float(y)):
         return {"type": "policy", "artifact": artifact_doc}
@@ -162,7 +164,7 @@ class RsuServer(socketserver.ThreadingTCPServer):
                 return  # silent, trickling or abusive client: close and move on
             try:
                 msg = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
+            except (ValueError, RecursionError):  # not UTF-8 or JSON, nested too deep, or an over-long integer
                 msg = None
             response = handle_request(msg, self.cfg.geofence, self._artifact_doc)
             if response["type"] == "policy":
@@ -224,10 +226,13 @@ def fetch(
     `timeout` bounds the whole exchange: connect, hello and response. Raises
     RsuConnectError (unreachable/timeout), RsuProtocolError (bad response),
     or ChecksumMismatchError (corrupt payload) - all distinct. A `timeout` outside
-    (0, MAX_TIMEOUT] raises RsuError before any connection is made.
+    (0, MAX_TIMEOUT] or a `port` outside 1..65535 raises RsuError before any
+    connection is made.
     """
     if not 0 < timeout <= MAX_TIMEOUT:
         raise RsuError(f"timeout must be > 0 and <= {MAX_TIMEOUT}, got {timeout}")
+    if not 1 <= port <= 65535:  # getaddrinfo would take the port modulo 65536
+        raise RsuError(f"port must be in 1..65535, got {port}")
     hello = json.dumps({"type": "hello", "vehicle_id": vehicle_id, "x": x, "y": y}) + "\n"
     deadline = time.monotonic() + timeout
     try:
@@ -241,7 +246,7 @@ def fetch(
         raise RsuProtocolError("connection closed without a response")
     try:
         msg = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise RsuProtocolError(f"response is not a JSON line: {exc}") from exc
     if not isinstance(msg, dict):
         raise RsuProtocolError("response is not an object")

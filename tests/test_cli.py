@@ -144,21 +144,41 @@ class TestSimEval:
                        "--trace-out", tmp_path / "t.csv")
         assert code == 1
 
-    @pytest.mark.parametrize("damage", ["missing", "not-json", "no-entries"])
+    ENTRY_DAMAGES = {  # edits of the first entry of a trained table without V2V
+        "key-short": lambda entry: entry.update(key=[1, 5]),
+        "key-v2v-long": lambda entry: entry.update(key=entry["key"] * 2),
+        "key-bool": lambda entry: entry["key"].__setitem__(0, True),
+        "key-float": lambda entry: entry["key"].__setitem__(0, 1.0),
+        "q-str": lambda entry: entry["q"].__setitem__(0, "nan"),
+        "q-bool": lambda entry: entry["q"].__setitem__(0, True),
+        "q-nan": lambda entry: entry["q"].__setitem__(0, float("nan")),
+        "q-inf": lambda entry: entry["q"].__setitem__(0, float("inf")),
+        "q-int-too-large": lambda entry: entry["q"].__setitem__(0, 10**400),
+    }
+
+    @pytest.mark.parametrize("damage", ["missing", "not-json", "no-entries", "v2v-str", *ENTRY_DAMAGES])
     def test_replay_with_bad_qtable_exit_1(self, tmp_path, small_config, capsys, damage):
         q = self.make_table(tmp_path, small_config)
         t = tmp_path / "trace.csv"
         assert run_cli("sim-eval", "--config", small_config, "--qtable", q,
                        "--seed", 5, "--runs", 2, "--trace-out", t) == 0
+        doc = json.loads(q.read_text())
         if damage == "missing":
             q.unlink()
+        elif damage == "v2v-str":
+            q.write_text(json.dumps({**doc, "v2v": "false"}))
+        elif damage in self.ENTRY_DAMAGES:
+            self.ENTRY_DAMAGES[damage](doc["entries"][0])
+            q.write_text(json.dumps(doc))
         else:
             q.write_text("{" if damage == "not-json" else '{"version": 1, "v2v": false}')
+        manifest = tmp_path / "trace.csv.manifest.json"  # without its input digests, so the table is loaded
+        manifest.write_text(json.dumps({k: v for k, v in json.loads(manifest.read_text()).items() if k != "inputs"}))
         capsys.readouterr()
-        code = run_cli("replay", "--manifest", tmp_path / "trace.csv.manifest.json",
-                       "--out-dir", tmp_path)
+        code = run_cli("replay", "--manifest", manifest, "--out-dir", tmp_path)
         assert code == 1
-        assert str(q) in capsys.readouterr().err
+        prefix = f"cannot read {q}: " if damage == "missing" else f"{q}: invalid Q-table: "
+        assert capsys.readouterr().err.startswith("cavlab: error: " + prefix)
 
     def test_trace_replays_through_apply_action(self, tmp_path, small_config):
         q_path = self.make_table(tmp_path, small_config)
@@ -559,6 +579,8 @@ def workspace(tmp_path_factory):
                       ("learn-decay-float", {"learn": {"epsilon_decay_episodes": 2.5}}),
                       ("unknown-section", {"raod": {"length": 5}, "learn": {"episodes": 3}})):
         (root / f"{name}.json").write_text(json.dumps(doc))
+    first = json.loads(dataset.read_text().splitlines()[0])
+    (root / "targets-short.jsonl").write_text(json.dumps({**first, "targets": first["targets"][:3]}) + "\n")
     server = RsuServer(RsuConfig(geofence=Geofence(0.0, 200.0, -10.0, 10.0)), load_artifact(root / "p.json"))
     server.start()
     yield {"root": root, "endpoint": f"127.0.0.1:{server.port}"}
@@ -598,6 +620,10 @@ class TestBadInput:
         ["imitate-eval", "--artifact", "{root}/missing.json", "--dataset", "{root}/data.jsonl",
          "--csv-out", "{out}/e.csv"],
         FETCH + ["--out", "{out}/nodir/fetched.json"],
+        ["imitate-eval", "--artifact", "{root}/p.json", "--dataset", "{root}/targets-short.jsonl",
+         "--csv-out", "{out}/e.csv"],
+        ["rsu-fetch", "--endpoint", "127.0.0.1:\u00b2", "--id", "car1", "--x", 50.0, "--y", 0.0,
+         "--out", "{out}/fetched.json"],
         SIM[:1] + SIM[3:] + ["--config", "{root}/learn-episodes-float.json"],  # --episodes would override it
         SIM + ["--config", "{root}/learn-v2v-str.json"],
         SIM + ["--config", "{root}/learn-bucket-float.json"],
@@ -613,6 +639,7 @@ class TestBadInput:
             "patience-neg", "artifact-out-no-dir", "config-road-int", "config-road-str", "config-learn-key", "seeds-not-int",
             "config-road-float", "config-road-steps-float", "config-road-lane-bool", "config-reward-str",
             "config-reward-nan", "config-reward-div-0", "artifact-missing", "fetch-out-no-dir",
+            "eval-targets-short", "fetch-port-superscript",
             "config-learn-episodes-float", "config-learn-v2v-str", "config-learn-bucket-float",
             "config-learn-alpha-bool", "config-learn-decay-float", "config-unknown-section",
             "fetch-timeout-neg", "fetch-timeout-nan", "fetch-timeout-inf", "fetch-timeout-1e10"])
@@ -621,6 +648,37 @@ class TestBadInput:
         assert run_cli(*(str(a).format(out=tmp_path, **workspace) for a in argv)) == 1
         assert "cavlab: error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # rejected before any output
+
+    READS = {  # each input read of the CLI, with {bad} the file it cannot read
+        "json": ["sim-train", "--config", "{bad}", "--episodes", 10, "--metrics-out", "{out}/m.csv",
+                 "--qtable-out", "{out}/q.json"],
+        "qtable": ["sim-eval", "--qtable", "{bad}", "--trace-out", "{out}/t.csv"],
+        "fcd-log": ["ingest", "--xml", "{bad}", "--ego", "ego*", "--out", "{out}/d.jsonl"],
+        "dataset": ["imitate-train", "--dataset", "{bad}", "--artifact-out", "{out}/p.json"],
+        "eval-artifact": ["imitate-eval", "--artifact", "{bad}", "--dataset", "{root}/data.jsonl",
+                          "--csv-out", "{out}/e.csv"],
+        "serve-artifact": ["rsu-serve", "--config", "{rsu_config}"],
+    }
+
+    @pytest.mark.parametrize("kind, prefix", [("directory", "cannot read {}: "), ("not-utf8", "{}: ")])
+    @pytest.mark.parametrize("read", READS)
+    def test_one_read_rule(self, workspace, tmp_path, capsys, read, kind, prefix):
+        bad = tmp_path / "in" / "input"
+        bad.parent.mkdir()
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\x80\xff not UTF-8\n")
+        rsu_config = tmp_path / "in" / "rsu.json"
+        rsu_config.write_text(json.dumps({"port": 0, "artifact_path": str(bad)}))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        argv = [str(a).format(bad=bad, out=out, rsu_config=rsu_config, **workspace) for a in self.READS[read]]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cavlab: error: " + prefix.format(bad)) and captured.out == ""
+        assert list(out.iterdir()) == []
 
     def test_hidden_0_refused_before_the_dataset_is_read(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"

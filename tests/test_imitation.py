@@ -478,6 +478,23 @@ class TestDatasetFile:
         with pytest.raises(ConfigError, match=r"EncoderConfig: unknown keys: \['k_max'\]"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(targets=doc["targets"][:1]), r"targets must be \(3, 2\), got \(1, 2\)"),
+        (lambda doc: doc.update(features=doc["features"][0]), r"features must be \(T, 9\), T >= 1, got \(9,\)"),
+        (lambda doc: doc.update(targets=[row[:1] for row in doc["targets"]]), r"targets must be \(3, 2\), got \(3, 1\)"),
+        (lambda doc: doc.update(features=[], targets=[]), r"features must be \(T, 9\), T >= 1, got \(0,\)"),
+    ], ids=["targets-short", "features-1d", "targets-1-column", "no-steps"])
+    def test_wrong_shapes_refused_naming_the_line(self, tmp_path, edit, message):
+        path = tmp_path / "data.jsonl"
+        write_dataset([encode_features(traj([(0.0, 0.0, 10.0, 90.0)] * 3), EncoderConfig(), sequence_id=f"s{i}")
+                       for i in range(2)], path)
+        first, second = path.read_text().splitlines()
+        doc = json.loads(second)
+        edit(doc)
+        path.write_text(first + "\n" + json.dumps(doc) + "\n")
+        with pytest.raises(ValueError, match=f"^line 2: {message}$"):
+            read_dataset(path)
+
 
 def make_samples(n, seed=0, T=20):
     """Deterministic scripted profiles: decelerate, hold, accelerate."""

@@ -114,6 +114,10 @@ class TestHandleRequest:
             {"type": "hello"},
             {"type": "hello", "vehicle_id": 7, "x": 1.0, "y": 1.0},
             {"type": "hello", "vehicle_id": "v", "x": "a", "y": 1.0},
+            {"type": "hello", "vehicle_id": "v", "x": 10**400, "y": 1.0},  # too large for a float
+            {"type": "hello", "vehicle_id": "v", "x": True, "y": 1.0},
+            {"type": "hello", "vehicle_id": "v", "x": float("nan"), "y": 1.0},
+            {"type": "hello", "vehicle_id": "v", "x": 1.0, "y": float("inf")},
         ],
     )
     def test_bad_requests(self, artifact_doc, msg):
@@ -157,6 +161,47 @@ class TestServeFetch:
         monkeypatch.setattr(socket, "create_connection", connect)
         with pytest.raises(RsuError, match="timeout must be > 0"):
             fetch("127.0.0.1", 1, "car1", 0.0, 0.0, timeout=timeout)
+
+    @pytest.mark.parametrize("port", [0, -1, 65536, 65536 + 80])
+    def test_port_out_of_range_refused_before_connecting(self, monkeypatch, port):
+        def connect(*args, **kwargs):
+            raise AssertionError("fetch tried to connect")
+
+        monkeypatch.setattr(socket, "create_connection", connect)
+        with pytest.raises(RsuError, match=r"port must be in 1\.\.65535"):
+            fetch("127.0.0.1", port, "car1", 0.0, 0.0)
+
+    @pytest.mark.parametrize("line", [b'{"type": "none", "n": ' + b"1" * 5000 + b"}\n", b"[" * 1100 + b"]" * 1100 + b"\n"],
+                             ids=["5000-digit-integer", "nested-too-deep"])
+    def test_unreadable_response_is_a_protocol_error(self, line):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(line)
+
+        server = threading.Thread(target=answer)
+        server.start()
+        try:
+            with pytest.raises(RsuProtocolError, match="response is not a JSON line"):
+                fetch("127.0.0.1", listener.getsockname()[1], "car1", 50.0, 5.0)
+        finally:
+            server.join(timeout=5.0)
+            listener.close()
+
+    @pytest.mark.parametrize("parts", [
+        [b'{"type": "hello", "vehicle_id": "v", "x": ' + b"1" * 2500, b"1" * 2500 + b', "y": 1.0}\n'],
+        [b'{"type": "hello", "vehicle_id": "v", "x": ' + b"1" * 400 + b', "y": 1.0}\n'],
+        [b"[" * 1100 + b"]" * 1100 + b"\n"],
+    ], ids=["5000-digit-x-in-two-parts", "400-digit-x", "nested-too-deep"])
+    def test_unreadable_hello_gets_one_bad_request_line(self, server, parts):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=2.0) as conn:
+            for part in parts:
+                conn.sendall(part)
+                time.sleep(0.05)
+            assert [json.loads(line)["code"] for line in conn.makefile("rb")] == ["bad_request"]
 
     def test_malformed_line_gets_error_response(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=2.0) as conn:
