@@ -44,7 +44,7 @@ def _reading(path: str, what: str = ""):
         yield
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"{path}: {what}{exc}") from exc
 
 

@@ -660,15 +660,18 @@ class TestBadInput:
         "serve-artifact": ["rsu-serve", "--config", "{rsu_config}"],
     }
 
-    @pytest.mark.parametrize("kind, prefix", [("directory", "cannot read {}: "), ("not-utf8", "{}: ")])
+    @pytest.mark.parametrize("kind, prefix", [("directory", "cannot read {}: "), ("not-utf8", "{}: "),
+                                              ("nested-too-deep", "{}: ")], ids=["directory", "not-utf8", "nested"])
     @pytest.mark.parametrize("read", READS)
     def test_one_read_rule(self, workspace, tmp_path, capsys, read, kind, prefix):
         bad = tmp_path / "in" / "input"
         bad.parent.mkdir()
         if kind == "directory":
             bad.mkdir()
-        else:
+        elif kind == "not-utf8":
             bad.write_bytes(b"\x80\xff not UTF-8\n")
+        else:
+            bad.write_text("[" * 5000 + "]" * 5000 + "\n")
         rsu_config = tmp_path / "in" / "rsu.json"
         rsu_config.write_text(json.dumps({"port": 0, "artifact_path": str(bad)}))
         out = tmp_path / "out"

@@ -481,7 +481,8 @@ class TestDatasetFile:
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(targets=doc["targets"][:1]), r"targets must be \(3, 2\), got \(1, 2\)"),
         (lambda doc: doc.update(features=doc["features"][0]), r"features must be \(T, 9\), T >= 1, got \(9,\)"),
-        (lambda doc: doc.update(targets=[row[:1] for row in doc["targets"]]), r"targets must be \(3, 2\), got \(3, 1\)"),
+        (lambda doc: doc.update(targets=[row[:1] for row in doc["targets"]]),
+         r"targets must be \(3, 2\), got \(3, 1\)"),
         (lambda doc: doc.update(features=[], targets=[]), r"features must be \(T, 9\), T >= 1, got \(0,\)"),
     ], ids=["targets-short", "features-1d", "targets-1-column", "no-steps"])
     def test_wrong_shapes_refused_naming_the_line(self, tmp_path, edit, message):

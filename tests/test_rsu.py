@@ -171,8 +171,10 @@ class TestServeFetch:
         with pytest.raises(RsuError, match=r"port must be in 1\.\.65535"):
             fetch("127.0.0.1", port, "car1", 0.0, 0.0)
 
-    @pytest.mark.parametrize("line", [b'{"type": "none", "n": ' + b"1" * 5000 + b"}\n", b"[" * 1100 + b"]" * 1100 + b"\n"],
-                             ids=["5000-digit-integer", "nested-too-deep"])
+    @pytest.mark.parametrize("line", [
+        b'{"type": "none", "n": ' + b"1" * 5000 + b"}\n",
+        b"[" * 1100 + b"]" * 1100 + b"\n",
+    ], ids=["5000-digit-integer", "nested-too-deep"])
     def test_unreadable_response_is_a_protocol_error(self, line):
         listener = socket.create_server(("127.0.0.1", 0))
 
@@ -223,7 +225,7 @@ class TestServeFetch:
         bad = json.loads(json.dumps(artifact_doc))
         bad["params"]["by"][0] += 1.0
         srv = RsuServer(RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0)), artifact)
-        srv._payload = (json.dumps({"type": "policy", "artifact": bad}) + "\n").encode()  # corrupt, set after validation
+        srv._payload = (json.dumps({"type": "policy", "artifact": bad}) + "\n").encode()  # corrupt, set after the server built it
         srv.start()
         try:
             with pytest.raises(ChecksumMismatchError):
