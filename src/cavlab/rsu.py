@@ -20,7 +20,6 @@ is too large for a float, is answered `bad_request`.
 from __future__ import annotations
 
 import json
-import signal
 import socket
 import socketserver
 import sys
@@ -199,6 +198,7 @@ def serve(cfg: RsuConfig, artifact: PolicyArtifact) -> int:
     Once bound it prints `listening host:port` on stderr, so a port of 0
     (ephemeral) can be found by clients.
     """
+    import signal  # here, not at the top: only rsu-serve needs it, and its import costs every other command ~0.7 ms
     server = RsuServer(cfg, artifact)
     # Handlers go in before the first request is served and only append (Event.set takes a lock the main thread may
     # hold); the main thread polls, as a signal that lands on another thread (numpy's BLAS pool) does not wake it.
