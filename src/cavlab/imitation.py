@@ -340,8 +340,9 @@ def write_dataset(samples: Sequence[SequenceSample], path) -> None:
 
 
 def read_dataset(path) -> list[SequenceSample]:
-    """The samples of a dataset file; a line whose features are not (T, 1 + 2k) with T >= 1 for its
-    encoder's k, or whose targets are not (T, 2), raises ValueError naming the line."""
+    """The samples of a dataset file; a line that is not JSON, whose features are not (T, 1 + 2k) with
+    T >= 1 for its encoder's k, whose targets are not (T, 2), or that holds a number that is not finite
+    raises ValueError naming the line."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -350,7 +351,7 @@ def read_dataset(path) -> list[SequenceSample]:
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: bad JSON on line {line_no}: {exc}") from exc
+                raise ValueError(f"bad JSON on line {line_no}: {exc}") from exc
             sample = SequenceSample(
                 doc["sequence_id"],
                 np.asarray(doc["features"], dtype=np.float64),
@@ -362,6 +363,8 @@ def read_dataset(path) -> list[SequenceSample]:
                 raise ValueError(f"line {line_no}: features must be (T, {width}), T >= 1, got {sample.features.shape}")
             if sample.targets.shape != (steps, 2):
                 raise ValueError(f"line {line_no}: targets must be ({steps}, 2), got {sample.targets.shape}")
+            if not (np.isfinite(sample.features).all() and np.isfinite(sample.targets).all()):
+                raise ValueError(f"line {line_no}: features and targets must be finite numbers")
             samples.append(sample)
     return samples
 
@@ -418,6 +421,8 @@ def artifact_from_doc(doc: dict) -> PolicyArtifact:
         params = {}
         for name, shape in shapes.items():
             flat = np.asarray(doc["params"][name], dtype=np.float64)
+            if not np.isfinite(flat).all():
+                raise ValueError(f"param {name} holds a number that is not finite")
             params[name] = flat.reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed artifact payload: {exc}") from exc

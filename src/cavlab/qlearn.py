@@ -1,8 +1,8 @@
 """Tabular Q-learning on the two-lane road.
 
-State keys are tuples: (speed, 7 scanner distances) without V2V, plus 7
-neighbor speeds (sentinel -1, world.NO_VEHICLE, when no vehicle is in range on
-a ray) with V2V.
+State keys are tuples: the agent's speed and the five ints of a
+`world.scan_full` reading, plus with V2V the agent's lane, which is all the
+paper's shared neighbour speeds carry: a ray's blocker moves at its lane's speed.
 The update rule is
 
     sample = r + gamma * max_a' Q(s', a')      (max term 0 on terminal steps)
@@ -50,9 +50,9 @@ StateKey = tuple
 _ZEROS = (0.0,) * N_ACTIONS
 
 
-def encode_state(speed: int, obs: tuple, v2v: bool = False) -> StateKey:
-    """Canonical observation key from a scan_full reading; blocker speeds only with v2v."""
-    return (speed,) + (obs if v2v else obs[:7])
+def encode_state(speed: int, obs: tuple, lane: int, v2v: bool = False) -> StateKey:
+    """The state key of a scan_full reading: (speed, *obs), plus the lane with v2v."""
+    return (speed,) + obs + (lane,) if v2v else (speed,) + obs
 
 
 class QTable:
@@ -68,21 +68,25 @@ class QTable:
         entries = [
             {"key": list(k), "q": list(v)} for k, v in self.entries.items()
         ]
-        return json.dumps({"version": 1, "v2v": self.v2v, "entries": entries})
+        return json.dumps({"version": 2, "v2v": self.v2v, "entries": entries})
 
     @classmethod
     def from_json(cls, text: str) -> "QTable":
         doc = json.loads(text)
-        if doc.get("version") != 1:
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        if doc.get("version") != 2:
             raise ValueError(f"unsupported qtable version {doc.get('version')!r}")
         if not isinstance(doc["v2v"], bool):
             raise ValueError(f"v2v must be true or false, got {doc['v2v']!r}")
+        if not isinstance(doc["entries"], list):
+            raise ValueError("entries must be a list")
         table = cls(v2v=doc["v2v"])
-        width = 15 if table.v2v else 8  # encode_state: the speed and 7 distances, plus 7 speeds with v2v
+        width = 7 if table.v2v else 6  # encode_state: the speed and the 5 readings, plus the lane with v2v
         for i, entry in enumerate(doc["entries"]):
             key, row = entry["key"], entry["q"]
-            if not (isinstance(key, list) and len(key) == width and all(type(v) is int for v in key)):
-                raise ValueError(f"entry {i}: key must be a list of {width} ints")
+            if not (isinstance(key, list) and len(key) == width and all(type(v) is int and v >= 0 for v in key)):
+                raise ValueError(f"entry {i}: key must be a list of {width} ints >= 0")
             if not (isinstance(row, list) and len(row) == N_ACTIONS and all(map(finite_number, row))):
                 raise ValueError(f"entry {i}: q must be a list of {N_ACTIONS} finite numbers")
             table.entries[tuple(key)] = [float(q) for q in row]
@@ -206,7 +210,7 @@ def run_episodes(
             continue
         lane, pos, speed = AGENT_START
         obs = sense(road, b0, b1, lane, pos)
-        key = encode_state(speed, obs, v2v)
+        key = encode_state(speed, obs, lane, v2v)
         if learn_cfg is not None:
             eps = epsilon_at(learn_cfg, episode)
             if pending is not None:
@@ -216,7 +220,8 @@ def run_episodes(
         while True:
             a = select_action(entries, key, eps, explore_rng)
             if trace is not None:
-                head = f"{episode},{steps},{lane},{pos},{speed},{','.join(map(str, obs[:7]))},{a}"
+                f, df, dr, left, right = obs  # the trace keeps the paper's 7 rays
+                head = f"{episode},{steps},{lane},{pos},{speed},{f},{df},{df},{left},{right},{dr},{dr},{a}"
             b0, b1, lane, pos, speed, event = move(road, b0, b1, lane, pos, speed, a)
             r = rewards[event][a // 3][speed][lane]
             steps += 1
@@ -224,7 +229,7 @@ def run_episodes(
                 trace.append(f"{head},{r!r},{_EVENT_NAMES[event]}")
             if event == ALIVE and steps < cap:
                 obs = sense(road, b0, b1, lane, pos)
-                next_key = encode_state(speed, obs, v2v)
+                next_key = encode_state(speed, obs, lane, v2v)
             else:
                 next_key = None  # the episode ends: the update is terminal
             if learn_cfg is not None:

@@ -226,13 +226,15 @@ def fetch(
     `timeout` bounds the whole exchange: connect, hello and response. Raises
     RsuConnectError (unreachable/timeout), RsuProtocolError (bad response),
     or ChecksumMismatchError (corrupt payload) - all distinct. A `timeout` outside
-    (0, MAX_TIMEOUT] or a `port` outside 1..65535 raises RsuError before any
-    connection is made.
+    (0, MAX_TIMEOUT], a `port` outside 1..65535, or an `x` or `y` that is not a
+    finite number raises RsuError before any connection is made.
     """
     if not 0 < timeout <= MAX_TIMEOUT:
         raise RsuError(f"timeout must be > 0 and <= {MAX_TIMEOUT}, got {timeout}")
     if not 1 <= port <= 65535:  # getaddrinfo would take the port modulo 65536
         raise RsuError(f"port must be in 1..65535, got {port}")
+    if not (finite_number(x) and finite_number(y)):  # the server answers bad_request to NaN or Infinity
+        raise RsuError(f"x and y must be finite numbers, got {x!r}, {y!r}")
     hello = json.dumps({"type": "hello", "vehicle_id": vehicle_id, "x": x, "y": y}) + "\n"
     deadline = time.monotonic() + timeout
     try:

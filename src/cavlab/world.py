@@ -3,21 +3,22 @@
 Geometry: lane 0 is the left-hand (normal speed) lane, lane 1 the right-hand
 (overtaking) lane; cells run 0..length-1 and the goal line sits at
 pos >= length. Obstacle vehicles hold the speed of their lane and despawn at
-the road end. The agent observes the world through a 7-direction scanner and
-steers with 9 composite actions (3 lateral x 3 speed).
+the road end. The agent observes the world through a scanner and steers
+with 9 composite actions (3 lateral x 3 speed).
 
-Scanner ray layout, in reading order:
-
-    [front, front-left, front-right, left, right, rear-left, rear-right]
-
-`front` walks the agent's own lane forward; the four diagonal rays walk the
-adjacent lane (the single other lane of the two-lane road) forward/backward
-with one cell of longitudinal offset per step; `left`/`right` probe the
-laterally adjacent cell, reading 0 when it is off-road or occupied. A ray is
-blocked by the nearest obstacle or by the lateral road edge (the wall the
-agent can bump into); longitudinally the road is open at both ends, so the
-start and the goal line never block a ray. Each reading is the count of free
-cells before the blocker, capped at scan_range.
+The scanner reading is five ints, `(front, diag_f, diag_r, left, right)`.
+`front` walks the agent's own lane forward; `diag_f`/`diag_r` walk the other
+lane forward/backward with one cell of longitudinal offset per step (the
+paper's front-left and front-right rays both walk that one lane, as do
+rear-left and rear-right, so each pair is one reading); `left`/`right` probe
+the laterally adjacent cell, reading 0 when it is off-road or occupied and 1
+when it is free. A ray is blocked by the nearest obstacle or by the lateral
+road edge (the wall the agent can bump into); longitudinally the road is open
+at both ends, so the start and the goal line never block a ray. Each reading
+is the count of free cells before the blocker, capped at scan_range. A
+blocker's speed is its lane's, so it follows from the reading and the agent's
+lane: what V2V speed sharing adds to the state is the lane (see
+`qlearn.encode_state`).
 
 The reward's speed terms apply against `agent_speed_limit` (default: the
 global max agent speed for every lane); `lane_speed_limit` is the constant
@@ -27,7 +28,7 @@ Because every obstacle in a lane moves at that lane's speed, the obstacles are
 stored as one `length`-bit int per lane, the lane bitboards `b0` and `b1` (bit
 p set: an obstacle in cell p). Advancing traffic is a shift and a mask, the
 crash check ANDs the agent's lane with the swept cells, and each ray reads the
-lowest or highest set bit on its side of the agent. A world is the two
+lowest or highest set bit of the `scan_range` cells it sees. A world is the two
 bitboards plus the agent's (lane, pos, speed), all plain ints: `spawn_world`
 draws the bitboards, `apply_action` steps them with an action index
 `dir * 3 + spd`, and `scan_full` reads the scanner. Both take a `Road`, the
@@ -150,13 +151,12 @@ def spawn_world(cfg: RoadConfig, rng: Rng) -> tuple[int, int]:
 
 
 ALIVE, GOAL, CRASH, BUMP = Event.ALIVE.value, Event.GOAL.value, Event.CRASH.value, Event.BUMP.value
-NO_VEHICLE = -1  # blocker speed of a ray that ends at the wall or at its range
 
 
 class Road:
     """The constants of one RoadConfig that apply_action and scan_full read."""
 
-    __slots__ = ("length", "full", "s0", "s1", "max_speed", "scan_range")
+    __slots__ = ("length", "full", "s0", "s1", "max_speed", "scan_range", "window")
 
     def __init__(self, cfg: RoadConfig):
         self.length = cfg.length
@@ -164,6 +164,7 @@ class Road:
         self.s0, self.s1 = cfg.lane_speed_limit
         self.max_speed = cfg.max_agent_speed
         self.scan_range = cfg.scan_range
+        self.window = (1 << cfg.scan_range) - 1  # the cells one ray sees
 
 
 def apply_action(road: Road, b0: int, b1: int, lane: int, pos: int, speed: int, a: int) -> tuple:
@@ -195,35 +196,16 @@ def apply_action(road: Road, b0: int, b1: int, lane: int, pos: int, speed: int, 
 
 
 def scan_full(road: Road, b0: int, b1: int, lane: int, pos: int) -> tuple:
-    """The 7 scanner distances then the 7 blocker speeds (NO_VEHICLE for none)."""
-    rng_cap = road.scan_range
-    if lane:
-        own, other, own_spd, other_spd = b1, b0, road.s1, road.s0
-    else:
-        own, other, own_spd, other_spd = b0, b1, road.s0, road.s1
-
-    ahead = own >> (pos + 1)  # bit k: cell pos+1+k
-    front = (ahead & -ahead).bit_length() - 1 if ahead else rng_cap
-    ahead = other >> (pos + 1)
-    diag_f = (ahead & -ahead).bit_length() - 1 if ahead else rng_cap
-    behind = other & ((1 << pos) - 1)  # the nearest blocker is the highest bit
-    diag_r = pos - behind.bit_length() if behind else rng_cap
-    # a blocker beyond the range is not seen
-    front, front_spd = (front, own_spd) if front < rng_cap else (rng_cap, NO_VEHICLE)
-    diag_f, diag_f_spd = (diag_f, other_spd) if diag_f < rng_cap else (rng_cap, NO_VEHICLE)
-    diag_r, diag_r_spd = (diag_r, other_spd) if diag_r < rng_cap else (rng_cap, NO_VEHICLE)
-
-    # the one lateral neighbour is the other lane; the far side is the wall
-    if (other >> pos) & 1:
-        side, side_spd = 0, other_spd
-    else:
-        side, side_spd = 1, NO_VEHICLE
-    if lane:
-        left, right, left_spd, right_spd = side, 0, side_spd, NO_VEHICLE
-    else:
-        left, right, left_spd, right_spd = 0, side, NO_VEHICLE, side_spd
-    return (front, diag_f, diag_f, left, right, diag_r, diag_r,
-            front_spd, diag_f_spd, diag_f_spd, left_spd, right_spd, diag_r_spd, diag_r_spd)
+    """The scanner reading (front, diag_f, diag_r, left, right) of the agent at (lane, pos)."""
+    r, window = road.scan_range, road.window
+    own, other = (b1, b0) if lane else (b0, b1)
+    ahead = (own >> (pos + 1)) & window  # bit k: cell pos+1+k
+    front = (ahead & -ahead).bit_length() - 1 if ahead else r
+    ahead = (other >> (pos + 1)) & window
+    diag_f = (ahead & -ahead).bit_length() - 1 if ahead else r
+    diag_r = r - (((other << r) >> pos) & window).bit_length()  # bit k: cell pos-r+k
+    side = 1 - ((other >> pos) & 1)  # the one lateral neighbour is the other lane; the far side is the wall
+    return (front, diag_f, diag_r, side, 0) if lane else (front, diag_f, diag_r, 0, side)
 
 
 def reward(

@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import time
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from cavlab.world import (
     spawn_world,
 )
 from merge_fixture import ZONE, merge_log
+from paper_scan import seven_rays
 
 
 def run_cli(*args):
@@ -149,6 +151,7 @@ class TestSimEval:
         "key-v2v-long": lambda entry: entry.update(key=entry["key"] * 2),
         "key-bool": lambda entry: entry["key"].__setitem__(0, True),
         "key-float": lambda entry: entry["key"].__setitem__(0, 1.0),
+        "key-negative": lambda entry: entry["key"].__setitem__(1, -1),
         "q-str": lambda entry: entry["q"].__setitem__(0, "nan"),
         "q-bool": lambda entry: entry["q"].__setitem__(0, True),
         "q-nan": lambda entry: entry["q"].__setitem__(0, float("nan")),
@@ -156,7 +159,8 @@ class TestSimEval:
         "q-int-too-large": lambda entry: entry["q"].__setitem__(0, 10**400),
     }
 
-    @pytest.mark.parametrize("damage", ["missing", "not-json", "no-entries", "v2v-str", *ENTRY_DAMAGES])
+    @pytest.mark.parametrize("damage", ["missing", "not-json", "not-object", "no-entries", "entries-object", "v2v-str",
+                                        *ENTRY_DAMAGES])
     def test_replay_with_bad_qtable_exit_1(self, tmp_path, small_config, capsys, damage):
         q = self.make_table(tmp_path, small_config)
         t = tmp_path / "trace.csv"
@@ -167,11 +171,13 @@ class TestSimEval:
             q.unlink()
         elif damage == "v2v-str":
             q.write_text(json.dumps({**doc, "v2v": "false"}))
+        elif damage == "entries-object":
+            q.write_text(json.dumps({**doc, "entries": {}}))
         elif damage in self.ENTRY_DAMAGES:
             self.ENTRY_DAMAGES[damage](doc["entries"][0])
             q.write_text(json.dumps(doc))
         else:
-            q.write_text("{" if damage == "not-json" else '{"version": 1, "v2v": false}')
+            q.write_text({"not-json": "{", "not-object": "[]", "no-entries": '{"version": 2, "v2v": false}'}[damage])
         manifest = tmp_path / "trace.csv.manifest.json"  # without its input digests, so the table is loaded
         manifest.write_text(json.dumps({k: v for k, v in json.loads(manifest.read_text()).items() if k != "inputs"}))
         capsys.readouterr()
@@ -201,7 +207,7 @@ class TestSimEval:
             for t_idx, r in enumerate(by_run[run_idx]):
                 assert int(r[1]) == t_idx
                 assert (int(r[2]), int(r[3]), int(r[4])) == (lane, pos, speed)
-                assert tuple(int(x) for x in r[5:12]) == scan_full(consts, b0, b1, lane, pos)[:7]
+                assert tuple(int(x) for x in r[5:12]) == seven_rays(scan_full(consts, b0, b1, lane, pos))
                 a = int(r[12])
                 b0, b1, lane, pos, speed, event = apply_action(consts, b0, b1, lane, pos, speed, a)
                 assert float(r[13]) == reward(event, Dir(a // 3), speed, lane, rew, road)
@@ -581,6 +587,14 @@ def workspace(tmp_path_factory):
         (root / f"{name}.json").write_text(json.dumps(doc))
     first = json.loads(dataset.read_text().splitlines()[0])
     (root / "targets-short.jsonl").write_text(json.dumps({**first, "targets": first["targets"][:3]}) + "\n")
+    features = [list(row) for row in first["features"]]
+    features[0][1] = None
+    (root / "feature-null.jsonl").write_text(json.dumps({**first, "features": features}) + "\n")
+    artifact = json.loads((root / "p.json").read_text())
+    artifact["params"]["by"][0] = None
+    payload = {k: v for k, v in artifact.items() if k != "checksum"}
+    artifact["checksum"] = zlib.crc32(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+    (root / "param-null.json").write_text(json.dumps(artifact))
     server = RsuServer(RsuConfig(geofence=Geofence(0.0, 200.0, -10.0, 10.0)), load_artifact(root / "p.json"))
     server.start()
     yield {"root": root, "endpoint": f"127.0.0.1:{server.port}"}
@@ -622,6 +636,10 @@ class TestBadInput:
         FETCH + ["--out", "{out}/nodir/fetched.json"],
         ["imitate-eval", "--artifact", "{root}/p.json", "--dataset", "{root}/targets-short.jsonl",
          "--csv-out", "{out}/e.csv"],
+        ["imitate-eval", "--artifact", "{root}/p.json", "--dataset", "{root}/feature-null.jsonl",
+         "--csv-out", "{out}/e.csv"],
+        ["imitate-eval", "--artifact", "{root}/param-null.json", "--dataset", "{root}/data.jsonl",
+         "--csv-out", "{out}/e.csv"],
         ["rsu-fetch", "--endpoint", "127.0.0.1:\u00b2", "--id", "car1", "--x", 50.0, "--y", 0.0,
          "--out", "{out}/fetched.json"],
         SIM[:1] + SIM[3:] + ["--config", "{root}/learn-episodes-float.json"],  # --episodes would override it
@@ -639,7 +657,7 @@ class TestBadInput:
             "patience-neg", "artifact-out-no-dir", "config-road-int", "config-road-str", "config-learn-key", "seeds-not-int",
             "config-road-float", "config-road-steps-float", "config-road-lane-bool", "config-reward-str",
             "config-reward-nan", "config-reward-div-0", "artifact-missing", "fetch-out-no-dir",
-            "eval-targets-short", "fetch-port-superscript",
+            "eval-targets-short", "eval-feature-null", "eval-param-null", "fetch-port-superscript",
             "config-learn-episodes-float", "config-learn-v2v-str", "config-learn-bucket-float",
             "config-learn-alpha-bool", "config-learn-decay-float", "config-unknown-section",
             "fetch-timeout-neg", "fetch-timeout-nan", "fetch-timeout-inf", "fetch-timeout-1e10"])
@@ -682,6 +700,14 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.err.startswith("cavlab: error: " + prefix.format(bad)) and captured.out == ""
         assert list(out.iterdir()) == []
+
+    def test_bad_json_dataset_line_names_the_path_once(self, tmp_path, capsys):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("not json\n")
+        capsys.readouterr()
+        assert run_cli("imitate-train", "--dataset", dataset, "--artifact-out", tmp_path / "p.json") == 1
+        assert capsys.readouterr().err == (
+            f"cavlab: error: {dataset}: invalid dataset: bad JSON on line 1: Expecting value: line 1 column 1 (char 0)\n")
 
     def test_hidden_0_refused_before_the_dataset_is_read(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import zlib
 from dataclasses import replace
 from fnmatch import fnmatch
 
@@ -484,7 +485,9 @@ class TestDatasetFile:
         (lambda doc: doc.update(targets=[row[:1] for row in doc["targets"]]),
          r"targets must be \(3, 2\), got \(3, 1\)"),
         (lambda doc: doc.update(features=[], targets=[]), r"features must be \(T, 9\), T >= 1, got \(0,\)"),
-    ], ids=["targets-short", "features-1d", "targets-1-column", "no-steps"])
+        (lambda doc: doc["features"][0].__setitem__(1, None), "features and targets must be finite numbers"),
+        (lambda doc: doc["targets"][2].__setitem__(0, float("inf")), "features and targets must be finite numbers"),
+    ], ids=["targets-short", "features-1d", "targets-1-column", "no-steps", "feature-null", "target-inf"])
     def test_wrong_shapes_refused_naming_the_line(self, tmp_path, edit, message):
         path = tmp_path / "data.jsonl"
         write_dataset([encode_features(traj([(0.0, 0.0, 10.0, 90.0)] * 3), EncoderConfig(), sequence_id=f"s{i}")
@@ -637,6 +640,15 @@ class TestArtifactIO:
         doc = artifact.to_doc()
         doc["format_version"] = 999
         with pytest.raises(UnsupportedVersionError):
+            artifact_from_doc(doc)
+
+    @pytest.mark.parametrize("value", [None, float("nan"), float("inf")])
+    def test_non_finite_param_refused(self, value):
+        doc = self.make_artifact().to_doc()
+        doc["params"]["wh"][3] = value
+        del doc["checksum"]
+        doc["checksum"] = zlib.crc32(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+        with pytest.raises(ArtifactError, match="^malformed artifact payload: param wh holds a number that is not finite$"):
             artifact_from_doc(doc)
 
     def test_truncated_file(self, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cavlab import qlearn
@@ -18,7 +20,6 @@ from cavlab.world import (
     AGENT_START,
     ALIVE,
     GOAL,
-    NO_VEHICLE,
     Dir,
     Road,
     RoadConfig,
@@ -30,42 +31,33 @@ from cavlab.world import (
 )
 from value_iteration import Spd, value_iteration_oracle
 
-DIST = (5, 5, 5, 0, 1, 5, 5)
-
-
-def obs_with(*speeds):
-    """A scan_full reading: DIST, then the blocker speeds padded with NO_VEHICLE."""
-    return DIST + speeds + (NO_VEHICLE,) * (7 - len(speeds))
+READING = (5, 5, 5, 0, 1)  # scan_full on an empty road, agent in lane 0
 
 
 class TestEncodeState:
-    def test_plain_key_has_8_components(self):
-        key = encode_state(1, obs_with(), v2v=False)
-        assert key == (1, 5, 5, 5, 0, 1, 5, 5)
+    def test_plain_key_is_the_speed_and_the_reading(self):
+        assert encode_state(1, READING, 0, v2v=False) == (1, 5, 5, 5, 0, 1)
 
-    def test_v2v_key_has_15_components_with_sentinels(self):
-        key = encode_state(1, obs_with(), v2v=True)
-        assert len(key) == 15
-        assert key[8:] == (-1,) * 7
+    def test_v2v_key_adds_the_lane(self):
+        assert encode_state(1, READING, 0, v2v=True) == (1, 5, 5, 5, 0, 1, 0)
 
-    def test_v2v_distinguishes_neighbor_speeds(self):
-        a = encode_state(1, obs_with(1), v2v=True)
-        b = encode_state(1, obs_with(2), v2v=True)
-        assert a != b
-        off_a = encode_state(1, obs_with(1), v2v=False)
-        off_b = encode_state(1, obs_with(2), v2v=False)
-        assert off_a == off_b
+    def test_v2v_distinguishes_lanes(self):
+        # with the adjacent cell occupied, left and right read 0 in either lane: only V2V tells them apart
+        boxed_in = (2, 5, 1, 0, 0)
+        assert encode_state(1, boxed_in, 0, v2v=True) != encode_state(1, boxed_in, 1, v2v=True)
+        assert encode_state(1, boxed_in, 0, v2v=False) == encode_state(1, boxed_in, 1, v2v=False)
 
     def test_key_matches_scan_full(self):
-        # the key is the speed, then scan_full's 7 distances, then (v2v only) its 7 blocker speeds
+        # the key is the speed, then scan_full's 5 readings, then (v2v only) the lane
         cfg = RoadConfig()
         road = Road(cfg)
         for seed in range(200):
             lanes = spawn_world(cfg, Rng(seed))
-            obs = scan_full(road, *lanes, seed % 2, 20 + seed % 30)
-            assert len(obs) == 14
-            assert encode_state(2, obs, v2v=True) == (2, *obs)
-            assert encode_state(2, obs, v2v=False) == (2, *obs[:7])
+            lane = seed % 2
+            obs = scan_full(road, *lanes, lane, 20 + seed % 30)
+            assert len(obs) == 5
+            assert encode_state(2, obs, lane, v2v=True) == (2, *obs, lane)
+            assert encode_state(2, obs, lane, v2v=False) == (2, *obs)
 
 
 class TestQUpdate:
@@ -375,12 +367,21 @@ class TestTrain:
 class TestQTableSerialization:
     def test_round_trip_full_precision(self):
         q = QTable(v2v=True)
-        key = (1, 5, 5, 5, 0, 1, 5, 5, -1, 2, -1, -1, 1, -1, -1)
+        key = (1, 5, 2, 5, 0, 1, 0)
         q.entries[key] = [0.1 + 0.2, -1.0 / 3.0, 1e-17, 2.5, 0, 0, 0, 0, -12.1]
         loaded = QTable.from_json(q.to_json())
         assert loaded.v2v is True
         assert loaded.entries == {key: q.entries[key]}
 
+    def test_version_2_layout(self):
+        q = QTable()
+        q.entries[(1, 5, 5, 5, 0, 1)] = [0.5] * 9
+        assert json.loads(q.to_json()) == {"version": 2, "v2v": False,
+                                           "entries": [{"key": [1, 5, 5, 5, 0, 1], "q": [0.5] * 9}]}
+
     def test_rejects_unknown_version(self):
-        with pytest.raises(ValueError, match="version"):
-            QTable.from_json('{"version": 2, "v2v": false, "entries": []}')
+        # version 1 keyed rows on the 7 rays (and 7 blocker speeds with v2v); no reader for it is kept
+        for version in (1, 3, None):
+            doc = {"version": version, "v2v": False, "entries": [{"key": [1, 5, 5, 5, 0, 1, 5, 5], "q": [0.0] * 9}]}
+            with pytest.raises(ValueError, match=f"^unsupported qtable version {version!r}$"):
+                QTable.from_json(json.dumps(doc))

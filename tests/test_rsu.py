@@ -171,6 +171,16 @@ class TestServeFetch:
         with pytest.raises(RsuError, match=r"port must be in 1\.\.65535"):
             fetch("127.0.0.1", port, "car1", 0.0, 0.0)
 
+    @pytest.mark.parametrize("x, y", [(float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 0.0), (True, 0.0),
+                                      (0.0, "1")])
+    def test_coordinate_not_finite_refused_before_connecting(self, monkeypatch, x, y):
+        def connect(*args, **kwargs):
+            raise AssertionError("fetch tried to connect")
+
+        monkeypatch.setattr(socket, "create_connection", connect)
+        with pytest.raises(RsuError, match="x and y must be finite numbers"):
+            fetch("127.0.0.1", 1, "car1", x, y)
+
     @pytest.mark.parametrize("line", [
         b'{"type": "none", "n": ' + b"1" * 5000 + b"}\n",
         b"[" * 1100 + b"]" * 1100 + b"\n",

@@ -8,7 +8,6 @@ from cavlab.world import (
     CRASH,
     GOAL,
     N_ACTIONS,
-    NO_VEHICLE,
     ConfigError,
     Dir,
     Event,
@@ -21,6 +20,7 @@ from cavlab.world import (
     scan_full,
     spawn_world,
 )
+from paper_scan import NO_VEHICLE, seven_rays, seven_speeds
 from value_iteration import Spd
 
 
@@ -49,9 +49,8 @@ def step(agent, a, obstacles=(), cfg=RoadConfig()):
 
 
 def sense(lane, pos, obstacles=(), cfg=RoadConfig()):
-    """scan_full from the agent at (lane, pos): (7 distances, 7 blocker speeds)."""
-    obs = scan_full(Road(cfg), *lanes_with(obstacles), lane, pos)
-    return obs[:7], obs[7:]
+    """scan_full from the agent at (lane, pos) among obstacle cells: (front, diag_f, diag_r, left, right)."""
+    return scan_full(Road(cfg), *lanes_with(obstacles), lane, pos)
 
 
 class TestActions:
@@ -154,34 +153,67 @@ def brute_force_scan(lanes, lane, pos, cfg):
     return tuple(d for d, _ in rays), tuple(s for _, s in rays)
 
 
+def random_lanes(rng, length):
+    """Two lane bitboards with each cell occupied with probability 1/4."""
+    return tuple(sum(1 << p for p in range(length) if rng.randrange(4) == 0) for _ in range(2))
+
+
 class TestScan:
     def test_empty_road_example(self):
-        assert sense(0, 30) == ((5, 5, 5, 0, 1, 5, 5), (NO_VEHICLE,) * 7)
+        assert sense(0, 30) == (5, 5, 5, 0, 1)
 
     def test_front_obstacle_distance(self):
-        assert sense(0, 30, [(0, 32)])[0][0] == 1
+        assert sense(0, 30, [(0, 32)])[0] == 1
 
     def test_lateral_occupied_reads_zero(self):
-        assert sense(0, 30, [(1, 30)])[0][4] == 0
+        assert sense(0, 30, [(1, 30)])[4] == 0
 
-    @pytest.mark.parametrize("cfg", [RoadConfig(), RoadConfig(scan_range=9, lane_speed_limit=(3, 1))])
+    def check_against_oracle(self, lanes, lane, pos, cfg):
+        # the oracle walks the paper's 7 rays; its pairs of diagonal rays are equal and its blocker
+        # speeds follow from the distances and the lane, so scan_full returns the 5 distinct readings
+        dist, speeds = brute_force_scan(lanes, lane, pos, cfg)
+        assert dist[1] == dist[2] and dist[5] == dist[6]
+        reading = scan_full(Road(cfg), *lanes, lane, pos)
+        assert reading == (dist[0], dist[1], dist[5], dist[3], dist[4])
+        assert seven_rays(reading) == dist
+        assert seven_speeds(reading, lane, cfg) == speeds
+
+    @pytest.mark.parametrize("cfg", [
+        RoadConfig(), RoadConfig(scan_range=9, lane_speed_limit=(3, 1)),
+        RoadConfig(length=6, n_obstacles=3, scan_range=9, lane_speed_limit=(2, 1)),  # rays longer than the road
+    ])
     def test_matches_brute_force_on_random_worlds(self, cfg):
-        road = Road(cfg)
         rng = Rng(7)
         for seed in range(2000):
             lanes = spawn_world(cfg, Rng(seed))
             lane, pos, _speed = rng.randrange(2), rng.randrange(cfg.length), rng.randrange(4)
             if (lane, pos) in cells(lanes, cfg):
                 continue
-            obs = scan_full(road, *lanes, lane, pos)
-            assert (obs[:7], obs[7:]) == brute_force_scan(lanes, lane, pos, cfg)
+            self.check_against_oracle(lanes, lane, pos, cfg)
+
+    def test_matches_brute_force_on_random_roads(self):
+        # random occupancy, also of the cells below 4 where no obstacle spawns, so rays behind the
+        # agent end at a vehicle, at the range or at the start of the road (pos below scan_range)
+        rng = Rng(17)
+        for _ in range(3000):
+            cfg = RoadConfig(length=2 + rng.randrange(40), scan_range=1 + rng.randrange(12),
+                             lane_speed_limit=(1 + rng.randrange(3), 1 + rng.randrange(3)))
+            lanes = random_lanes(rng, cfg.length)
+            self.check_against_oracle(lanes, rng.randrange(2), rng.randrange(cfg.length), cfg)
 
     def test_neighbor_speeds_match_blockers(self):
-        dist, speeds = sense(0, 30, [(0, 33), (1, 28), (1, 30)])
+        cfg = RoadConfig()
+        lanes = lanes_with([(0, 33), (1, 28), (1, 30)])
+        dist, speeds = brute_force_scan(lanes, 0, 30, cfg)
         assert dist[0] == 2 and speeds[0] == 1     # front blocker in lane 0
         assert dist[5] == 1 and speeds[5] == 2     # rear diag blocker in lane 1
         assert dist[4] == 0 and speeds[4] == 2     # lateral occupied
         assert speeds[3] == NO_VEHICLE             # wall, not a vehicle
+        assert scan_full(Road(cfg), *lanes, 0, 30) == (2, 5, 1, 0, 0)
+        # the same reading in lane 1 (the mirrored road) differs only in the lane: V2V adds the lane
+        mirrored = lanes_with([(1, 33), (0, 28), (0, 30)])
+        assert scan_full(Road(cfg), *mirrored, 1, 30) == (2, 5, 1, 0, 0)
+        assert brute_force_scan(mirrored, 1, 30, cfg)[1] != speeds
 
 
 class TestApplyAction:
