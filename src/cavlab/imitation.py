@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import fnmatch
 import io
+import itertools
 import json
 import math
 import zlib
@@ -32,7 +33,7 @@ from xml.parsers import expat
 import numpy as np
 
 from . import rnn
-from .config import Config
+from .config import Config, ConfigError, check_types
 from .rng import Rng
 
 
@@ -339,10 +340,17 @@ def write_dataset(samples: Sequence[SequenceSample], path) -> None:
             )
 
 
+def _numbers(rows: list) -> bool:
+    """Whether the entries of `rows`, or of its rows when all are lists, are JSON numbers (true, "0.5" and null
+    are not)."""
+    kinds = set(map(type, rows))
+    return (set(map(type, itertools.chain.from_iterable(rows))) if kinds == {list} else kinds) <= {int, float}
+
+
 def read_dataset(path) -> list[SequenceSample]:
-    """The samples of a dataset file; a line that is not JSON, whose features are not (T, 1 + 2k) with
-    T >= 1 for its encoder's k, whose targets are not (T, 2), or that holds a number that is not finite
-    raises ValueError naming the line."""
+    """The samples of a dataset file. A line that is not JSON, lacks a key or has another, has a sequence_id that
+    is not a string, features that are not (T, 1 + 2k) with T >= 1 for its encoder's k, targets that are not
+    (T, 2), or anything but finite numbers in those raises ValueError (ConfigError for a key) naming the line."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -350,21 +358,26 @@ def read_dataset(path) -> list[SequenceSample]:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer longer than int's string conversion limit
                 raise ValueError(f"bad JSON on line {line_no}: {exc}") from exc
-            sample = SequenceSample(
-                doc["sequence_id"],
-                np.asarray(doc["features"], dtype=np.float64),
-                np.asarray(doc["targets"], dtype=np.float64),
-                EncoderConfig.from_dict(doc["encoder"]),
-            )
-            width, steps = sample.encoder.feature_dim, len(sample.features)
-            if sample.features.ndim != 2 or steps < 1 or sample.features.shape[1] != width:
-                raise ValueError(f"line {line_no}: features must be (T, {width}), T >= 1, got {sample.features.shape}")
-            if sample.targets.shape != (steps, 2):
-                raise ValueError(f"line {line_no}: targets must be ({steps}, 2), got {sample.targets.shape}")
-            if not (np.isfinite(sample.features).all() and np.isfinite(sample.targets).all()):
-                raise ValueError(f"line {line_no}: features and targets must be finite numbers")
+            try:
+                sequence_id, features, targets, encoder = check_types(doc, {
+                    "sequence_id": str, "features": list, "targets": list, "encoder": EncoderConfig}).values()
+                if not (_numbers(features) and _numbers(targets)):
+                    raise ValueError("features and targets must be finite numbers")
+                sample = SequenceSample(sequence_id, np.asarray(features, dtype=np.float64),
+                                        np.asarray(targets, dtype=np.float64), encoder)
+                width, steps = encoder.feature_dim, len(sample.features)
+                if sample.features.ndim != 2 or steps < 1 or sample.features.shape[1] != width:
+                    raise ValueError(f"features must be (T, {width}), T >= 1, got {sample.features.shape}")
+                if sample.targets.shape != (steps, 2):
+                    raise ValueError(f"targets must be ({steps}, 2), got {sample.targets.shape}")
+                if not (np.isfinite(sample.features).all() and np.isfinite(sample.targets).all()):
+                    raise ValueError("features and targets must be finite numbers")
+            except KeyError as exc:
+                raise ValueError(f"line {line_no}: missing key {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
+                raise (ConfigError if isinstance(exc, ConfigError) else ValueError)(f"line {line_no}: {exc}") from exc
             samples.append(sample)
     return samples
 
@@ -379,6 +392,11 @@ class PolicyArtifact:
     model_cfg: rnn.ModelConfig
     encoder: EncoderConfig
     params: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        dims, want = (self.model_cfg.input_dim, self.model_cfg.output_dim), (self.encoder.feature_dim, 2)
+        if dims != want:
+            raise ValueError(f"model (input_dim, output_dim) must be {want} for its encoder, got {dims}")
 
     def build_model(self) -> rnn.SeqModel:
         return rnn.SeqModel(self.model_cfg, *(self.params[n].copy() for n in rnn.SeqModel.PARAM_NAMES))
@@ -424,9 +442,9 @@ def artifact_from_doc(doc: dict) -> PolicyArtifact:
             if not np.isfinite(flat).all():
                 raise ValueError(f"param {name} holds a number that is not finite")
             params[name] = flat.reshape(shape)
+        return PolicyArtifact(model_cfg, encoder, params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed artifact payload: {exc}") from exc
-    return PolicyArtifact(model_cfg, encoder, params)
 
 
 def save_artifact(artifact: PolicyArtifact, path) -> None:
@@ -510,10 +528,6 @@ def evaluate_policy(artifact: PolicyArtifact, samples: Sequence[SequenceSample])
         if s.encoder != artifact.encoder:
             raise EncoderMismatchError(
                 f"sample '{s.sequence_id}' encoder {s.encoder} != artifact encoder {artifact.encoder}"
-            )
-        if s.features.shape[1] != artifact.model_cfg.input_dim:
-            raise EncoderMismatchError(
-                f"sample '{s.sequence_id}' feature width {s.features.shape[1]} != model input {artifact.model_cfg.input_dim}"
             )
         ys, _ = rnn.forward(model, s.features)
         v = artifact.encoder.v_norm

@@ -12,10 +12,9 @@ Gradients come from full (non-truncated) backpropagation through time; the
 optimizer is Adam with bias correction. Everything runs in float64 so the
 finite-difference gradient checks are meaningful.
 
-The loops over time in `forward` and `backward` hold only the recurrence. Every
-floating-point operation is still that of a plain per-step pass, and sums over
-time add one step at a time in the per-step order, so artifacts keep their bits.
-A gemm over time (`DZ.T @ X`) reorders those sums: it needs a declared format bump.
+The loops over time in `forward` and `backward` hold only the recurrence.
+`forward` keeps the arithmetic of a plain per-step pass, bit for bit; `backward`
+sums each weight gradient over time in one gemm, equal to per-step sums to rounding.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 from .config import Config
 from .rng import Rng
 
-_CHUNK = 64  # steps per product buffer in backward's sums over time
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's fixed constants (Kingma & Ba)
 
 
@@ -158,34 +156,21 @@ def backward(model: SeqModel, cache: ForwardCache, target: np.ndarray) -> dict[s
     D = np.concatenate((1.0 - gates[:, :2], np.ones((T, 2, hdim))), axis=1)
     tc = np.tanh(cache.c)
     dtc = 1.0 - tc * tc
-    dh_y = np.matmul(model.wy.T, d_y[:, :, None])[:, :, 0]
-    DZ = np.empty((T, 4 * hdim))  # row T-1-t holds step t, so rows run in accumulation order
+    dh_y = d_y @ model.wy
+    DZ = np.empty((T, 4 * hdim))
     dh_next = dc_next = np.zeros(hdim)
     for t in range(T - 1, -1, -1):
         dh = dh_y[t] + dh_next
         dc = dh * o[t] * dtc[t] + dc_next
-        dz = DZ[T - 1 - t].reshape(4, hdim)
+        dz = DZ[t].reshape(4, hdim)
         dz[:3], dz[3] = dc, dh * tc[t]
         dz *= B[t]
         dz *= C[t]
         dz *= D[t]
         dh_next = model.wh.T @ dz.reshape(-1)
         dc_next = dc * f[t]
-    return {"wx": _outer_sum(DZ, cache.xs[::-1]), "wh": _outer_sum(DZ, prev[1, ::-1]),
-            "b": np.add.reduce(DZ, axis=0, initial=0.0), "wy": d_y.T @ cache.h, "by": d_y.sum(axis=0)}
-
-
-def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """0.0 + outer(a[0], b[0]) + outer(a[1], b[1]) + ..., added in that order, as per-step
-    `+=` adds them. Chunks of _CHUNK rows carry the running sum as their first row."""
-    n = min(len(a), _CHUNK)
-    buf = np.empty((n + 1, a.shape[1], b.shape[1]))
-    buf[0] = 0.0
-    for s in range(0, len(a), n):
-        k = min(n, len(a) - s)
-        np.multiply(a[s : s + k, :, None], b[s : s + k, None, :], out=buf[1 : k + 1])
-        buf[0] = np.add.reduce(buf[: k + 1], axis=0, initial=0.0)
-    return buf[0].copy()
+    return {"wx": DZ.T @ cache.xs, "wh": DZ.T @ prev[1], "b": DZ.sum(axis=0),
+            "wy": d_y.T @ cache.h, "by": d_y.sum(axis=0)}
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Reference LSTM passes: the per-step `forward`/`backward` that cavlab.rnn vectorised.
 
-Every operation runs inside the loop over time, one step at a time. The
-optimised passes in cavlab.rnn must reproduce these outputs, caches and
-gradients bit for bit.
+Every operation runs inside the loop over time, one step at a time.
+`cavlab.rnn.forward` must reproduce this forward's outputs and caches bit for
+bit. `cavlab.rnn.backward` sums each weight gradient over time in one gemm, so
+its gradients need only equal these per-step sums to rounding: within 1e-13 of
+the largest reference entry of each gradient.
 """
 
 from __future__ import annotations

@@ -317,6 +317,23 @@ class TestImitate:
         assert code == 0
         assert (out_dir / "policy.json").read_bytes() == art.read_bytes()
 
+    def test_artifact_bytes_do_not_depend_on_blas_threads(self, tmp_path, dataset):
+        """Two `imitate-train` processes, with OPENBLAS_NUM_THREADS=1 and =2 set before numpy loads, write the
+        same artifact bytes: the gemms over time in `rnn.backward` must not sum in an order that depends on the
+        BLAS thread count. threadpoolctl is not installed, so this test does not confirm that the build honours
+        the variable; on a 2-core x86-64 machine a process read 1 thread under =1 and 2 under =2 after a gemm."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        artifacts = []
+        for threads in ("1", "2"):
+            art = tmp_path / f"policy{threads}.json"
+            subprocess.run([sys.executable, "-m", "cavlab", "imitate-train", "--dataset", str(dataset), "--epochs",
+                            "2", "--hidden", "48", "--seed", "1", "--artifact-out", str(art)],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True, capture_output=True, timeout=120)
+            artifacts.append(art.read_bytes())
+        assert artifacts[0] == artifacts[1]
+
 
 # subcommand -> (primary output, outputs), as `recorded` writes them
 RECORDED = {
@@ -708,6 +725,33 @@ class TestBadInput:
         assert run_cli("imitate-train", "--dataset", dataset, "--artifact-out", tmp_path / "p.json") == 1
         assert capsys.readouterr().err == (
             f"cavlab: error: {dataset}: invalid dataset: bad JSON on line 1: Expecting value: line 1 column 1 (char 0)\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(features="abc"), "features must be list, got 'abc'"),
+        (lambda doc: doc["features"][1].pop(), "setting an array element with a sequence. The requested array has an "
+                                               "inhomogeneous shape after 1 dimensions. The detected shape was ({T},) "
+                                               "+ inhomogeneous part."),
+        (lambda doc: doc.update(encoder=[]), "encoder must be EncoderConfig, got []"),
+        (lambda doc: doc.update(sequence_id=5), "sequence_id must be str, got 5"),
+        (lambda doc: doc["targets"][0].__setitem__(1, True), "features and targets must be finite numbers"),
+        (lambda doc: doc["features"][0].__setitem__(0, "0.5"), "features and targets must be finite numbers"),
+        (lambda doc: doc["features"][0].__setitem__(0, 10**400), "int too large to convert to float"),
+        (lambda doc: doc.pop("targets"), "missing key 'targets'"),
+        (lambda doc: doc.update(extra=1), "unknown keys: ['extra']"),
+    ], ids=["features-abc", "features-ragged", "encoder-list", "id-int", "target-bool", "feature-str",
+            "feature-int-too-large", "targets-missing", "extra-key"])
+    def test_dataset_refusal_names_the_line(self, workspace, tmp_path, capsys, edit, message):
+        first, second, *rest = (workspace["root"] / "data.jsonl").read_text().splitlines()
+        doc = json.loads(second)
+        steps = len(doc["features"])
+        edit(doc)
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("\n".join([first, json.dumps(doc), *rest]) + "\n")
+        capsys.readouterr()
+        assert run_cli("imitate-eval", "--artifact", workspace["root"] / "p.json", "--dataset", dataset,
+                       "--csv-out", tmp_path / "e.csv") == 1
+        assert capsys.readouterr().err == (
+            f"cavlab: error: {dataset}: invalid dataset: line 2: {message.format(T=steps)}\n")
 
     def test_hidden_0_refused_before_the_dataset_is_read(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"

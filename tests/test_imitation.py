@@ -4,7 +4,7 @@ import json
 import math
 import re
 import zlib
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fnmatch import fnmatch
 
 import numpy as np
@@ -479,6 +479,12 @@ class TestDatasetFile:
         with pytest.raises(ConfigError, match=r"EncoderConfig: unknown keys: \['k_max'\]"):
             read_dataset(path)
 
+    def test_integer_too_long_to_parse_names_the_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"features": [[' + "9" * 5000 + "]]}\n")
+        with pytest.raises(ValueError, match=r"^(bad JSON on )?line 1: "):  # Python >= 3.11 limits int digits
+            read_dataset(path)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(targets=doc["targets"][:1]), r"targets must be \(3, 2\), got \(1, 2\)"),
         (lambda doc: doc.update(features=doc["features"][0]), r"features must be \(T, 9\), T >= 1, got \(9,\)"),
@@ -649,6 +655,21 @@ class TestArtifactIO:
         del doc["checksum"]
         doc["checksum"] = zlib.crc32(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
         with pytest.raises(ArtifactError, match="^malformed artifact payload: param wh holds a number that is not finite$"):
+            artifact_from_doc(doc)
+
+    @pytest.mark.parametrize("dims, message", [
+        ({"input_dim": 8}, r"model \(input_dim, output_dim\) must be \(9, 2\) for its encoder, got \(8, 2\)"),
+        ({"output_dim": 1}, r"model \(input_dim, output_dim\) must be \(9, 2\) for its encoder, got \(9, 1\)"),
+    ], ids=["input-dim", "output-dim"])
+    def test_dims_that_do_not_fit_refused(self, dims, message):
+        """A document with a correct checksum whose model does not read the encoder's features or does not
+        predict (speed, heading) is refused on load, before any sample reaches it."""
+        cfg = rnn.ModelConfig(**{"input_dim": 9, "output_dim": 2, "hidden_dim": 3, "seed": 0, **dims})
+        params = rnn.SeqModel.initialize(cfg).params()
+        doc = {"format_version": 1, "model": asdict(cfg), "encoder": asdict(EncoderConfig()),
+               "params": {name: arr.ravel().tolist() for name, arr in params.items()}}
+        doc["checksum"] = zlib.crc32(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+        with pytest.raises(ArtifactError, match=f"^malformed artifact payload: {message}$"):
             artifact_from_doc(doc)
 
     def test_truncated_file(self, tmp_path):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -203,53 +202,88 @@ class TestBackward:
             backward(model, cache, np.zeros((5, 2)))
 
 
-def assert_bit_identical(model, xs, target):
-    """forward/backward give the bytes of the per-step reference passes."""
+def assert_forward_bit_identical(model, xs):
+    """forward gives the bytes of the per-step reference pass: its outputs and every cache array."""
     ys, cache = forward(model, xs)
     ref_ys, ref_cache = rnn_reference.forward(model, xs)
     assert ys.tobytes() == ref_ys.tobytes()
     for name, got, want in zip(ForwardCache._fields, cache, ref_cache):
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-    grads = backward(model, cache, target)
-    ref_grads = rnn_reference.backward(model, ref_cache, target)
-    for name in SeqModel.PARAM_NAMES:
-        assert grads[name].shape == ref_grads[name].shape, name
-        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
     return cache
 
 
+def assert_gradients_close(model, xs, target):
+    """backward's gradients are the per-step reference sums to rounding: each within 1e-13 * max|ref|."""
+    _, cache = forward(model, xs)
+    grads = backward(model, cache, target)
+    ref_grads = rnn_reference.backward(model, cache, target)
+    for name in SeqModel.PARAM_NAMES:
+        assert grads[name].shape == ref_grads[name].shape, name
+        assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-13 * np.abs(ref_grads[name]).max(), name
+
+
+STEPS = [1, 2, 3, 40, 65, 197, 500]
+
+
+def random_cases(T):
+    """Four random (input, output, hidden) shapes and the A7 shape, each with a model, inputs and targets of T steps."""
+    rng = np.random.default_rng(T)
+    dims = [tuple(int(v) for v in rng.integers(1, 6, size=3)) for _ in range(4)] + [(9, 2, 32)]
+    for trial, (d, o, h) in enumerate(dims):
+        model = SeqModel.initialize(ModelConfig(input_dim=d, output_dim=o, hidden_dim=h, seed=trial))
+        yield model, rng.normal(size=(T, d)), rng.normal(size=(T, o))
+
+
+def saturated_case():
+    """Inputs of signed zeros and +-50, which drive gates to exactly 0 or 1, with a random target."""
+    rng = np.random.default_rng(5)
+    model = SeqModel.initialize(ModelConfig(input_dim=3, output_dim=2, hidden_dim=4, seed=1))
+    xs = rng.choice([0.0, -0.0, 50.0, -50.0], size=(70, 3))
+    xs[:, 0] = -0.0  # each product with this column is a signed zero
+    return model, xs, rng.normal(size=(70, 2))
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("T", [1, 2, 3, 40, rnn._CHUNK + 1, 3 * rnn._CHUNK + 5, 500])
+    @pytest.mark.parametrize("T", STEPS)
     def test_random_shapes(self, T):
-        rng = np.random.default_rng(T)
-        dims = [tuple(int(v) for v in rng.integers(1, 6, size=3)) for _ in range(4)] + [(9, 2, 32)]
-        for trial, (d, o, h) in enumerate(dims):
-            model = SeqModel.initialize(ModelConfig(input_dim=d, output_dim=o, hidden_dim=h, seed=trial))
-            assert_bit_identical(model, rng.normal(size=(T, d)), rng.normal(size=(T, o)))
+        for model, xs, _ in random_cases(T):
+            assert_forward_bit_identical(model, xs)
 
     def test_signed_zeros_and_saturated_gates(self):
-        rng = np.random.default_rng(5)
-        model = SeqModel.initialize(ModelConfig(input_dim=3, output_dim=2, hidden_dim=4, seed=1))
-        T = rnn._CHUNK + 6
-        xs = rng.choice([0.0, -0.0, 50.0, -50.0], size=(T, 3))
-        xs[:, 0] = -0.0  # each product with this column is a signed zero; its sums start from 0.0
-        cache = assert_bit_identical(model, xs, rng.normal(size=(T, 2)))
+        model, xs, _ = saturated_case()
+        cache = assert_forward_bit_identical(model, xs)
         assert np.any(cache.gates == 1.0) and np.any(np.abs(cache.gates[:, 8:12]) == 1.0)
-        assert_bit_identical(model, xs, cache.ys.copy())  # zero residual
-        assert_bit_identical(zero_model(3, 2, 4), xs, np.full((T, 2), -0.0))
+        assert_forward_bit_identical(zero_model(3, 2, 4), xs)
+
+
+class TestGradientsToRounding:
+    @pytest.mark.parametrize("T", STEPS)
+    def test_random_shapes(self, T):
+        for case in random_cases(T):
+            assert_gradients_close(*case)
+
+    def test_signed_zeros_and_saturated_gates(self):
+        model, xs, target = saturated_case()
+        assert_gradients_close(model, xs, target)
+        assert_gradients_close(model, xs, forward(model, xs)[0].copy())  # zero residual: every gradient is 0
+        assert_gradients_close(zero_model(3, 2, 4), xs, np.full(target.shape, -0.0))
 
     def test_train_policy_matches_reference(self, monkeypatch):
         trajectories = extract_ego_sequences(parse_fcd(merge_log(6, seed=31)), "ego*")
         samples = [encode_features(tr, EncoderConfig(), sequence_id=f"s{i}") for i, tr in enumerate(trajectories)]
 
         def train():
-            artifact, history = train_policy(samples, TrainConfig(hidden=6, epochs=3, patience=None, lr=3e-3, seed=4))
-            return json.dumps(artifact.to_doc()).encode(), history
+            return train_policy(samples, TrainConfig(hidden=6, epochs=3, patience=None, lr=3e-3, seed=4))
 
-        got = train()
+        artifact, history = train()
         monkeypatch.setattr(rnn, "forward", rnn_reference.forward)
         monkeypatch.setattr(rnn, "backward", rnn_reference.backward)
-        assert train() == got
+        ref_artifact, ref_history = train()
+        assert history.train_mse == pytest.approx(ref_history.train_mse, rel=1e-12, abs=0)
+        assert history.val_mse == pytest.approx(ref_history.val_mse, rel=1e-12, abs=0)
+        assert (artifact.model_cfg, artifact.encoder) == (ref_artifact.model_cfg, ref_artifact.encoder)
+        for name in SeqModel.PARAM_NAMES:
+            assert np.allclose(artifact.params[name], ref_artifact.params[name], rtol=0, atol=1e-12), name
 
 
 class TestAdam:
