@@ -43,7 +43,10 @@ def finite_number(value) -> bool:
 
 
 def check_types(values: dict, kinds: dict) -> dict:
-    """Each setting in `kinds`, read from `values` as its kind; a missing key raises KeyError, an extra one ConfigError."""
+    """Each setting in `kinds`, read from `values` as its kind; a missing key raises KeyError, and an extra key
+    or a `values` that is not a dict raises ConfigError."""
+    if not isinstance(values, dict):
+        raise ConfigError("expected a JSON object")
     unknown = set(values) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
@@ -66,7 +69,9 @@ class Config:
 
     @classmethod
     def from_dict(cls, d: dict):
-        """The config a JSON object describes; an unknown key raises ConfigError."""
+        """The config a JSON object describes; an unknown key or a `d` that is not a dict raises ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.__name__}: expected a JSON object")
         unknown = set(d) - set(_kinds(cls))
         if unknown:
             raise ConfigError(f"{cls.__name__}: unknown keys: {sorted(unknown)}")

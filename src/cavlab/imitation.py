@@ -283,7 +283,7 @@ class EncoderConfig(Config):
 @dataclass
 class SequenceSample:
     sequence_id: str
-    features: np.ndarray  # (T, 1 + 2k), all in [0, 1]
+    features: np.ndarray  # (T, 1 + 2k); encode_features writes them in [0, 1], read_dataset takes any finite value
     targets: np.ndarray   # (T, 2): speed/v_norm, angle/360
     encoder: EncoderConfig
 
@@ -340,17 +340,23 @@ def write_dataset(samples: Sequence[SequenceSample], path) -> None:
             )
 
 
-def _numbers(rows: list) -> bool:
-    """Whether the entries of `rows`, or of its rows when all are lists, are JSON numbers (true, "0.5" and null
-    are not)."""
-    kinds = set(map(type, rows))
-    return (set(map(type, itertools.chain.from_iterable(rows))) if kinds == {list} else kinds) <= {int, float}
+def _finite_floats(value, name: str) -> np.ndarray:
+    """`value`, a list of JSON numbers or of lists of them, as a float64 array; ValueError naming `name` for any
+    other entry (true, "0.5", null) or a number that is not finite, OverflowError for an int too large for a float."""
+    if type(value) is list:
+        rows = value if all(type(row) is list for row in value) else [value]
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+            array = np.asarray(value, dtype=np.float64)
+            if np.isfinite(array).all():
+                return array
+    raise ValueError(f"{name} must be finite numbers")
 
 
 def read_dataset(path) -> list[SequenceSample]:
     """The samples of a dataset file. A line that is not JSON, lacks a key or has another, has a sequence_id that
     is not a string, features that are not (T, 1 + 2k) with T >= 1 for its encoder's k, targets that are not
-    (T, 2), or anything but finite numbers in those raises ValueError (ConfigError for a key) naming the line."""
+    (T, 2), or anything but finite numbers in those raises ValueError (ConfigError for a key) naming the line.
+    A feature outside [0, 1] reads back as it is: the range is what encode_features writes, not a rule of the file."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -363,17 +369,13 @@ def read_dataset(path) -> list[SequenceSample]:
             try:
                 sequence_id, features, targets, encoder = check_types(doc, {
                     "sequence_id": str, "features": list, "targets": list, "encoder": EncoderConfig}).values()
-                if not (_numbers(features) and _numbers(targets)):
-                    raise ValueError("features and targets must be finite numbers")
-                sample = SequenceSample(sequence_id, np.asarray(features, dtype=np.float64),
-                                        np.asarray(targets, dtype=np.float64), encoder)
+                sample = SequenceSample(sequence_id, _finite_floats(features, "features"),
+                                        _finite_floats(targets, "targets"), encoder)
                 width, steps = encoder.feature_dim, len(sample.features)
                 if sample.features.ndim != 2 or steps < 1 or sample.features.shape[1] != width:
                     raise ValueError(f"features must be (T, {width}), T >= 1, got {sample.features.shape}")
                 if sample.targets.shape != (steps, 2):
                     raise ValueError(f"targets must be ({steps}, 2), got {sample.targets.shape}")
-                if not (np.isfinite(sample.features).all() and np.isfinite(sample.targets).all()):
-                    raise ValueError("features and targets must be finite numbers")
             except KeyError as exc:
                 raise ValueError(f"line {line_no}: missing key {exc}") from exc
             except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
@@ -427,23 +429,18 @@ def artifact_from_doc(doc: dict) -> PolicyArtifact:
     """Rebuild and checksum-verify an artifact document."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ArtifactError("not a policy artifact document")
-    if doc["format_version"] != ARTIFACT_VERSION:
-        raise UnsupportedVersionError(f"unsupported artifact version {doc['format_version']!r}")
-    stored = doc.get("checksum")
-    if stored is None or _payload_checksum(doc) != stored:
+    version, stored = doc["format_version"], doc.get("checksum")
+    if type(version) is not int or version != ARTIFACT_VERSION:  # a bool is no int, though true == 1
+        raise UnsupportedVersionError(f"unsupported artifact version {version!r}")
+    if type(stored) is not int or _payload_checksum(doc) != stored:
         raise ChecksumMismatchError("artifact checksum mismatch")
     try:
         model_cfg = rnn.ModelConfig(**doc["model"])
         encoder = EncoderConfig(**doc["encoder"])
-        shapes = _param_shapes(model_cfg)
-        params = {}
-        for name, shape in shapes.items():
-            flat = np.asarray(doc["params"][name], dtype=np.float64)
-            if not np.isfinite(flat).all():
-                raise ValueError(f"param {name} holds a number that is not finite")
-            params[name] = flat.reshape(shape)
+        params = {name: _finite_floats(doc["params"][name], f"param {name}").reshape(shape)
+                  for name, shape in _param_shapes(model_cfg).items()}
         return PolicyArtifact(model_cfg, encoder, params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"malformed artifact payload: {exc}") from exc
 
 

@@ -75,7 +75,7 @@ class QTable:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
-        if doc.get("version") != 2:
+        if type(doc.get("version")) is not int or doc["version"] != 2:  # neither true nor 2.0 is a version
             raise ValueError(f"unsupported qtable version {doc.get('version')!r}")
         if not isinstance(doc["v2v"], bool):
             raise ValueError(f"v2v must be true or false, got {doc['v2v']!r}")

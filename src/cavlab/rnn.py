@@ -13,7 +13,8 @@ optimizer is Adam with bias correction. Everything runs in float64 so the
 finite-difference gradient checks are meaningful.
 
 The loops over time in `forward` and `backward` hold only the recurrence.
-`forward` keeps the arithmetic of a plain per-step pass, bit for bit; `backward`
+`forward` keeps the arithmetic of a plain per-step pass, bit for bit. `backward`
+tables the gate derivatives of every step up front, as one (T, 4, h) array, and
 sums each weight gradient over time in one gemm, equal to per-step sums to rounding.
 """
 
@@ -33,10 +34,6 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's fixed constants (Kingma & Ba)
 
 class TrainingError(RuntimeError):
     """Non-finite gradients or loss during training."""
-
-    def __init__(self, message: str, epoch: Optional[int] = None):
-        super().__init__(message)
-        self.epoch = epoch
 
 
 @dataclass(frozen=True)
@@ -146,16 +143,13 @@ def backward(model: SeqModel, cache: ForwardCache, target: np.ndarray) -> dict[s
     hdim = model.cfg.hidden_dim
 
     d_y = 2.0 * (cache.ys - target) / target.size
-    # the gate blocks are dz = ((A*B)*C)*D with A = (dc, dc, dc, do): B, C and D are tabled up front
-    gates = cache.gates.reshape(T, 4, hdim)
-    i, f, g, o = gates.transpose(1, 0, 2)
+    i, f, g, o = cache.gates.reshape(T, 4, hdim).transpose(1, 0, 2)
     prev = np.zeros((2, T, hdim))  # c_{t-1} and h_{t-1}, zero at t = 0
     prev[:, 1:] = cache.c[:-1], cache.h[:-1]
-    B = np.stack((g, prev[0], i, o), axis=1)
-    C = np.stack((i, f, 1.0 - g * g, 1.0 - o), axis=1)
-    D = np.concatenate((1.0 - gates[:, :2], np.ones((T, 2, hdim))), axis=1)
     tc = np.tanh(cache.c)
     dtc = 1.0 - tc * tc
+    # the gate table: dc_t/dz for the blocks i, f and g, dh_t/dz for o, so step t's dz is (dc, dc, dc, dh) * G[t]
+    G = np.stack((g * i * (1.0 - i), prev[0] * f * (1.0 - f), i * (1.0 - g * g), tc * o * (1.0 - o)), axis=1)
     dh_y = d_y @ model.wy
     DZ = np.empty((T, 4 * hdim))
     dh_next = dc_next = np.zeros(hdim)
@@ -163,10 +157,8 @@ def backward(model: SeqModel, cache: ForwardCache, target: np.ndarray) -> dict[s
         dh = dh_y[t] + dh_next
         dc = dh * o[t] * dtc[t] + dc_next
         dz = DZ[t].reshape(4, hdim)
-        dz[:3], dz[3] = dc, dh * tc[t]
-        dz *= B[t]
-        dz *= C[t]
-        dz *= D[t]
+        dz[:3], dz[3] = dc, dh
+        dz *= G[t]
         dh_next = model.wh.T @ dz.reshape(-1)
         dc_next = dc * f[t]
     return {"wx": DZ.T @ cache.xs, "wh": DZ.T @ prev[1], "b": DZ.sum(axis=0),
@@ -247,7 +239,7 @@ def fit(
             ys, cache = forward(model, xs)
             loss = mse_loss(ys, target)
             if not math.isfinite(loss):
-                raise TrainingError(f"training diverged at epoch {epoch}", epoch=epoch)
+                raise TrainingError(f"training diverged at epoch {epoch}")
             grads = backward(model, cache, target)
             adam_step(model, grads, state)
             total += loss
@@ -256,7 +248,7 @@ def fit(
         if val_set:
             val = sum(mse_loss(forward(model, xs)[0], tg) for xs, tg in val_set) / len(val_set)
             if not math.isfinite(val):
-                raise TrainingError(f"validation diverged at epoch {epoch}", epoch=epoch)
+                raise TrainingError(f"validation diverged at epoch {epoch}")
             history.val_mse.append(val)
             if val < best_val:
                 best_val = val

@@ -733,8 +733,8 @@ class TestBadInput:
                                                "+ inhomogeneous part."),
         (lambda doc: doc.update(encoder=[]), "encoder must be EncoderConfig, got []"),
         (lambda doc: doc.update(sequence_id=5), "sequence_id must be str, got 5"),
-        (lambda doc: doc["targets"][0].__setitem__(1, True), "features and targets must be finite numbers"),
-        (lambda doc: doc["features"][0].__setitem__(0, "0.5"), "features and targets must be finite numbers"),
+        (lambda doc: doc["targets"][0].__setitem__(1, True), "targets must be finite numbers"),
+        (lambda doc: doc["features"][0].__setitem__(0, "0.5"), "features must be finite numbers"),
         (lambda doc: doc["features"][0].__setitem__(0, 10**400), "int too large to convert to float"),
         (lambda doc: doc.pop("targets"), "missing key 'targets'"),
         (lambda doc: doc.update(extra=1), "unknown keys: ['extra']"),
@@ -752,6 +752,36 @@ class TestBadInput:
                        "--csv-out", tmp_path / "e.csv") == 1
         assert capsys.readouterr().err == (
             f"cavlab: error: {dataset}: invalid dataset: line 2: {message.format(T=steps)}\n")
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "param by must be finite numbers"),
+        ("0.5", "param by must be finite numbers"),
+        (10**400, "int too large to convert to float"),
+    ], ids=["true", "string", "int-too-large"])
+    def test_eval_refuses_param_that_is_no_float(self, workspace, tmp_path, capsys, value, message):
+        """Under a matching checksum too: the artifact reader takes JSON numbers only, as the dataset reader does."""
+        doc = json.loads((workspace["root"] / "p.json").read_text())
+        doc["params"]["by"][0] = value
+        payload = {k: v for k, v in doc.items() if k != "checksum"}
+        doc["checksum"] = zlib.crc32(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+        artifact = tmp_path / "in" / "p.json"
+        artifact.parent.mkdir()
+        artifact.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run_cli("imitate-eval", "--artifact", artifact, "--dataset", workspace["root"] / "data.jsonl",
+                       "--csv-out", out / "e.csv") == 1
+        assert capsys.readouterr().err == f"cavlab: error: {artifact}: malformed artifact payload: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_config_section_that_is_no_object(self, workspace, tmp_path, capsys):
+        config = workspace["root"] / "road-int.json"
+        capsys.readouterr()
+        assert run_cli("sim-train", "--config", config, "--episodes", 10, "--metrics-out", tmp_path / "m.csv",
+                       "--qtable-out", tmp_path / "q.json") == 1
+        assert capsys.readouterr().err == (
+            f"cavlab: error: {config}: invalid configuration: ConfigError('RoadConfig: expected a JSON object')\n")
 
     def test_hidden_0_refused_before_the_dataset_is_read(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"

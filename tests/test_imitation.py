@@ -491,8 +491,8 @@ class TestDatasetFile:
         (lambda doc: doc.update(targets=[row[:1] for row in doc["targets"]]),
          r"targets must be \(3, 2\), got \(3, 1\)"),
         (lambda doc: doc.update(features=[], targets=[]), r"features must be \(T, 9\), T >= 1, got \(0,\)"),
-        (lambda doc: doc["features"][0].__setitem__(1, None), "features and targets must be finite numbers"),
-        (lambda doc: doc["targets"][2].__setitem__(0, float("inf")), "features and targets must be finite numbers"),
+        (lambda doc: doc["features"][0].__setitem__(1, None), "features must be finite numbers"),
+        (lambda doc: doc["targets"][2].__setitem__(0, float("inf")), "targets must be finite numbers"),
     ], ids=["targets-short", "features-1d", "targets-1-column", "no-steps", "feature-null", "target-inf"])
     def test_wrong_shapes_refused_naming_the_line(self, tmp_path, edit, message):
         path = tmp_path / "data.jsonl"
@@ -504,6 +504,23 @@ class TestDatasetFile:
         path.write_text(first + "\n" + json.dumps(doc) + "\n")
         with pytest.raises(ValueError, match=f"^line 2: {message}$"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("line", ['"abc"', "[1]", "5"], ids=["string", "list", "number"])
+    def test_line_that_is_no_object_refused_naming_the_line(self, tmp_path, line):
+        path = tmp_path / "data.jsonl"
+        write_dataset([encode_features(traj([(0.0, 0.0, 10.0, 90.0)]), EncoderConfig(), sequence_id="s0")], path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ConfigError, match="^line 2: expected a JSON object$"):
+            read_dataset(path)
+
+    def test_feature_outside_unit_range_reads_back(self, tmp_path):
+        """The reader checks type, shape and finiteness; [0, 1] is what encode_features writes, not a file rule."""
+        sample = encode_features(traj([(0.0, 0.0, 10.0, 90.0)] * 2), EncoderConfig(), sequence_id="s0")
+        sample.features[1, 2] = 5.0
+        path = tmp_path / "data.jsonl"
+        write_dataset([sample], path)
+        [loaded] = read_dataset(path)
+        assert loaded.features[1, 2] == 5.0 and np.array_equal(loaded.features, sample.features)
 
 
 def make_samples(n, seed=0, T=20):
@@ -615,6 +632,12 @@ class TestEvaluatePolicy:
         assert parsed[1][0] == sequence_id
 
 
+def with_checksum(doc: dict) -> dict:
+    """`doc` with its checksum recomputed over the rest of it: the CRC32 of its canonical JSON."""
+    payload = {key: value for key, value in doc.items() if key != "checksum"}
+    return {**payload, "checksum": zlib.crc32(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())}
+
+
 class TestArtifactIO:
     def make_artifact(self):
         samples = make_samples(3)
@@ -648,13 +671,31 @@ class TestArtifactIO:
         with pytest.raises(UnsupportedVersionError):
             artifact_from_doc(doc)
 
-    @pytest.mark.parametrize("value", [None, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [None, float("nan"), float("inf"), True, "0.5"])
     def test_non_finite_param_refused(self, value):
+        """Under a matching checksum too; numpy would read true and "0.5" as numbers."""
         doc = self.make_artifact().to_doc()
         doc["params"]["wh"][3] = value
-        del doc["checksum"]
-        doc["checksum"] = zlib.crc32(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
-        with pytest.raises(ArtifactError, match="^malformed artifact payload: param wh holds a number that is not finite$"):
+        with pytest.raises(ArtifactError, match="^malformed artifact payload: param wh must be finite numbers$"):
+            artifact_from_doc(with_checksum(doc))
+
+    def test_param_too_large_for_a_float_refused(self):
+        doc = self.make_artifact().to_doc()
+        doc["params"]["wh"][3] = 10**400
+        with pytest.raises(ArtifactError, match="^malformed artifact payload: int too large to convert to float$"):
+            artifact_from_doc(with_checksum(doc))
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_version_that_is_no_int_refused(self, version):
+        """true == 1 and 1.0 == 1 in Python, but neither is the int version 1."""
+        doc = with_checksum({**self.make_artifact().to_doc(), "format_version": version})
+        with pytest.raises(UnsupportedVersionError, match=f"^unsupported artifact version {version!r}$"):
+            artifact_from_doc(doc)
+
+    def test_checksum_that_is_no_int_refused(self):
+        doc = self.make_artifact().to_doc()
+        doc["checksum"] = float(doc["checksum"])  # equal to the CRC, but no int
+        with pytest.raises(ChecksumMismatchError, match="^artifact checksum mismatch$"):
             artifact_from_doc(doc)
 
     @pytest.mark.parametrize("dims, message", [
@@ -668,9 +709,8 @@ class TestArtifactIO:
         params = rnn.SeqModel.initialize(cfg).params()
         doc = {"format_version": 1, "model": asdict(cfg), "encoder": asdict(EncoderConfig()),
                "params": {name: arr.ravel().tolist() for name, arr in params.items()}}
-        doc["checksum"] = zlib.crc32(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
         with pytest.raises(ArtifactError, match=f"^malformed artifact payload: {message}$"):
-            artifact_from_doc(doc)
+            artifact_from_doc(with_checksum(doc))
 
     def test_truncated_file(self, tmp_path):
         artifact = self.make_artifact()

@@ -385,3 +385,10 @@ class TestQTableSerialization:
             doc = {"version": version, "v2v": False, "entries": [{"key": [1, 5, 5, 5, 0, 1, 5, 5], "q": [0.0] * 9}]}
             with pytest.raises(ValueError, match=f"^unsupported qtable version {version!r}$"):
                 QTable.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("version", [2.0, True], ids=["float", "true"])
+    def test_rejects_version_that_is_no_int(self, version):
+        # 2.0 == 2 in Python, but only the int 2 names the format; a bool is no int
+        doc = {"version": version, "v2v": False, "entries": [{"key": [1, 5, 5, 5, 0, 1], "q": [0.0] * 9}]}
+        with pytest.raises(ValueError, match=f"^unsupported qtable version {version!r}$"):
+            QTable.from_json(json.dumps(doc))

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import os
@@ -6,12 +7,13 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
 
 from cavlab import rnn
-from cavlab.imitation import ChecksumMismatchError, EncoderConfig, PolicyArtifact
+from cavlab.imitation import ArtifactError, ChecksumMismatchError, EncoderConfig, PolicyArtifact
 from cavlab.rsu import (
     Geofence,
     RsuConfig,
@@ -34,6 +36,27 @@ def artifact():
 @pytest.fixture(scope="module")
 def artifact_doc(artifact):
     return artifact.to_doc()
+
+
+@contextlib.contextmanager
+def one_answer(line: bytes):
+    """A listener on an ephemeral port that answers its first connection with `line`; yields the port."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(4096)
+            conn.sendall(line)
+
+    server = threading.Thread(target=answer)
+    server.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        server.join(timeout=5.0)
+        listener.close()
+    assert not server.is_alive()
 
 
 @pytest.fixture()
@@ -186,22 +209,19 @@ class TestServeFetch:
         b"[" * 1100 + b"]" * 1100 + b"\n",
     ], ids=["5000-digit-integer", "nested-too-deep"])
     def test_unreadable_response_is_a_protocol_error(self, line):
-        listener = socket.create_server(("127.0.0.1", 0))
-
-        def answer():
-            conn, _ = listener.accept()
-            with conn:
-                conn.recv(4096)
-                conn.sendall(line)
-
-        server = threading.Thread(target=answer)
-        server.start()
-        try:
+        with one_answer(line) as port:
             with pytest.raises(RsuProtocolError, match="response is not a JSON line"):
-                fetch("127.0.0.1", listener.getsockname()[1], "car1", 50.0, 5.0)
-        finally:
-            server.join(timeout=5.0)
-            listener.close()
+                fetch("127.0.0.1", port, "car1", 50.0, 5.0)
+
+    @pytest.mark.parametrize("value", [True, "0.5", 10**400], ids=["true", "string", "int-too-large"])
+    def test_payload_param_that_is_no_float_is_an_artifact_error(self, artifact_doc, value):
+        """A policy line whose checksum matches but which carries such a param fails verification, not as a crash."""
+        doc = {**artifact_doc, "params": {**artifact_doc["params"], "by": [value, *artifact_doc["params"]["by"][1:]]}}
+        payload = {k: v for k, v in doc.items() if k != "checksum"}
+        doc["checksum"] = zlib.crc32(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+        with one_answer(json.dumps({"type": "policy", "artifact": doc}).encode() + b"\n") as port:
+            with pytest.raises(ArtifactError, match="^malformed artifact payload: "):
+                fetch("127.0.0.1", port, "car1", 50.0, 5.0)
 
     @pytest.mark.parametrize("parts", [
         [b'{"type": "hello", "vehicle_id": "v", "x": ' + b"1" * 2500, b"1" * 2500 + b', "y": 1.0}\n'],
