@@ -103,11 +103,13 @@ def _sim_sections(doc: dict, *names: str) -> dict:
 def _resolve_sim_train(args) -> list:
     doc = _load_json(args.config) if args.config else {}
     with _invalid_config(args.config):
-        learn = dict(doc.get("learn", {}))
-        if args.episodes is not None:
-            learn["episodes"] = args.episodes
-        if args.v2v:
-            learn["v2v"] = True
+        learn = doc.get("learn", {})
+        if isinstance(learn, dict):  # any other section is refused by LearnConfig.from_dict in _sim_sections
+            learn = dict(learn)
+            if args.episodes is not None:
+                learn["episodes"] = args.episodes
+            if args.v2v:
+                learn["v2v"] = True
         config = _sim_sections({**doc, "learn": learn}, *SIM_SECTIONS)
     with _invalid_config("--seeds"):
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]

@@ -4,7 +4,9 @@ Floating-car-data XML logs (the subset grammar below) are parsed into
 per-timestep snapshots, sliced into per-ego trajectories, filtered down to
 positive merge negotiations, encoded into fixed-width normalized sequences,
 and used to train the sequence model. The trained policy travels as a
-versioned, checksummed JSON artifact.
+versioned, checksummed JSON artifact: files hold version 1, each param a list
+of decimals; the RSU wire carries version 2, the params packed as base64
+float64 (see PolicyArtifact.to_doc). artifact_from_doc reads both.
 
 Input grammar (UTF-8):
 
@@ -19,6 +21,7 @@ Unknown attributes are ignored, unknown elements rejected.
 
 from __future__ import annotations
 
+import base64
 import csv
 import fnmatch
 import io
@@ -271,8 +274,8 @@ class EncoderConfig(Config):
     d_norm: float = 50.0  # m full scale
 
     def check(self):
-        # written to reject NaN scales too, which would make every feature NaN
-        if self.k < 0 or not (self.v_norm > 0 and self.d_norm > 0):
+        # written to reject NaN scales too, which would make every feature NaN; an infinite one would make it 0
+        if self.k < 0 or not (0 < self.v_norm < math.inf and 0 < self.d_norm < math.inf):
             raise ValueError("invalid encoder configuration")
 
     @property
@@ -386,7 +389,10 @@ def read_dataset(path) -> list[SequenceSample]:
 
 # --- policy artifact ---
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 1  # files; the RSU serves WIRE_VERSION
+WIRE_VERSION = 2
+_HEADER_KEYS = ("format_version", "model", "encoder")
+_WIRE_KEYS = {*_HEADER_KEYS, "params", "checksum"}
 
 
 @dataclass
@@ -403,42 +409,68 @@ class PolicyArtifact:
     def build_model(self) -> rnn.SeqModel:
         return rnn.SeqModel(self.model_cfg, *(self.params[n].copy() for n in rnn.SeqModel.PARAM_NAMES))
 
-    def to_doc(self) -> dict:
-        doc = {
-            "format_version": ARTIFACT_VERSION,
-            "model": asdict(self.model_cfg),
-            "encoder": asdict(self.encoder),
-            "params": {name: arr.ravel().tolist() for name, arr in self.params.items()},
-        }
-        doc["checksum"] = _payload_checksum(doc)
-        return doc
+    def to_doc(self, version: int = ARTIFACT_VERSION) -> dict:
+        """The artifact document. Version 1 holds each param as a list of decimals, under the CRC32 of the canonical
+        JSON of the rest. Version 2 holds the params as one base64 run of little-endian float64 in PARAM_NAMES
+        order, under the CRC32 of the canonical JSON of the header keys chained with those bytes."""
+        header = {"format_version": version, "model": asdict(self.model_cfg), "encoder": asdict(self.encoder)}
+        if version == ARTIFACT_VERSION:
+            doc = {**header, "params": {name: arr.ravel().tolist() for name, arr in self.params.items()}}
+            return {**doc, "checksum": _canonical_crc(doc)}
+        raw = b"".join(self.params[name].astype("<f8").tobytes() for name in rnn.SeqModel.PARAM_NAMES)
+        return {**header, "params": base64.b64encode(raw).decode("ascii"),
+                "checksum": zlib.crc32(raw, _canonical_crc(header))}
 
 
-def _payload_checksum(payload: dict) -> int:
-    scrubbed = {k: v for k, v in payload.items() if k != "checksum"}
-    canon = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canon.encode("utf-8"))
+def _canonical_crc(doc: dict) -> int:
+    return zlib.crc32(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
 
 def _param_shapes(cfg: rnn.ModelConfig) -> dict[str, tuple[int, ...]]:
     h, d, o = cfg.hidden_dim, cfg.input_dim, cfg.output_dim
-    return {"wx": (4 * h, d), "wh": (4 * h, h), "b": (4 * h,), "wy": (o, h), "by": (o,)}
+    return {"wx": (4 * h, d), "wh": (4 * h, h), "b": (4 * h,), "wy": (o, h), "by": (o,)}  # PARAM_NAMES order
+
+
+def _unpack_params(raw: bytes, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """The version-2 params: `raw` split into `shapes`; ValueError unless it is exactly their size, all finite."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if len(raw) != 8 * sum(sizes):
+        raise ValueError(f"params must be {8 * sum(sizes)} bytes for the model's shapes, got {len(raw)}")
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise ValueError("params must be finite numbers")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
 
 
 def artifact_from_doc(doc: dict) -> PolicyArtifact:
-    """Rebuild and checksum-verify an artifact document."""
+    """Rebuild and checksum-verify an artifact document of either version (see PolicyArtifact.to_doc)."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ArtifactError("not a policy artifact document")
     version, stored = doc["format_version"], doc.get("checksum")
-    if type(version) is not int or version != ARTIFACT_VERSION:  # a bool is no int, though true == 1
+    if type(version) is not int or version not in (ARTIFACT_VERSION, WIRE_VERSION):  # a bool is no int
         raise UnsupportedVersionError(f"unsupported artifact version {version!r}")
-    if type(stored) is not int or _payload_checksum(doc) != stored:
+    try:
+        if version == ARTIFACT_VERSION:
+            crc = _canonical_crc({k: v for k, v in doc.items() if k != "checksum"})
+        else:
+            if doc.keys() != _WIRE_KEYS:
+                raise ValueError(f"keys must be {sorted(_WIRE_KEYS)}, got {sorted(doc)}")
+            raw = base64.b64decode(doc["params"], validate=True)
+            crc = zlib.crc32(raw, _canonical_crc({k: doc[k] for k in _HEADER_KEYS}))
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ArtifactError(f"malformed artifact payload: {exc}") from exc
+    if type(stored) is not int or crc != stored:
         raise ChecksumMismatchError("artifact checksum mismatch")
     try:
         model_cfg = rnn.ModelConfig(**doc["model"])
         encoder = EncoderConfig(**doc["encoder"])
-        params = {name: _finite_floats(doc["params"][name], f"param {name}").reshape(shape)
-                  for name, shape in _param_shapes(model_cfg).items()}
+        shapes = _param_shapes(model_cfg)
+        if version == ARTIFACT_VERSION:
+            params = {name: _finite_floats(doc["params"][name], f"param {name}").reshape(shape)
+                      for name, shape in shapes.items()}
+        else:
+            params = _unpack_params(raw, shapes)
         return PolicyArtifact(model_cfg, encoder, params)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"malformed artifact payload: {exc}") from exc

@@ -11,6 +11,15 @@ and receives exactly one of
     {"type": "none", "reason": "outside_geofence"}
     {"type": "error", "code": "bad_request", "detail": "..."}
 
+The policy's artifact is the version-2 document of `imitation.PolicyArtifact.to_doc`:
+
+    {"format_version": 2, "model": {...}, "encoder": {...}, "params": "<base64>", "checksum": 123}
+
+`params` is one base64 run of little-endian float64, the params in `rnn.SeqModel.PARAM_NAMES`
+order, and `checksum` the CRC32 of the canonical JSON (sorted keys, no spaces) of
+`format_version`, `model` and `encoder`, chained with those raw bytes. `fetch` also
+verifies a version-1 document, the decimal one an artifact file holds.
+
 The server is handed the loaded `PolicyArtifact`, builds its document once and serves
 it byte-identical across requests; `RsuServer` is a `socketserver.ThreadingTCPServer`.
 A request line that is not JSON, or a hello whose x or y is a bool, is not finite or
@@ -29,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .config import Config, finite_number
-from .imitation import PolicyArtifact, artifact_from_doc
+from .imitation import WIRE_VERSION, PolicyArtifact, artifact_from_doc
 
 MAX_REQUEST = 4 * 1024  # a hello is ~60 bytes; bounds what each connection may buffer
 MAX_LINE = 64 * 1024 * 1024  # guard against unbounded response lines
@@ -131,7 +140,7 @@ class RsuServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, cfg: RsuConfig, artifact: PolicyArtifact):
         self.cfg = cfg
-        self._artifact_doc = artifact.to_doc()
+        self._artifact_doc = artifact.to_doc(WIRE_VERSION)
         self._payload = (json.dumps({"type": "policy", "artifact": self._artifact_doc}) + "\n").encode("utf-8")
         self._slots = threading.Semaphore(cfg.max_connections)
         self._stop = threading.Event()

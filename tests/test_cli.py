@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from cavlab.cli import PIPELINES, build_parser, main
-from cavlab.imitation import EncoderConfig, FilterConfig, TrainConfig, load_artifact, read_dataset
+from cavlab.imitation import EncoderConfig, FilterConfig, TrainConfig, load_artifact, read_dataset, save_artifact
 from cavlab.qlearn import QTable, encode_state
 from cavlab.rsu import Geofence, RsuConfig, RsuServer
 from cavlab.rng import Rng
@@ -783,6 +783,22 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             f"cavlab: error: {config}: invalid configuration: ConfigError('RoadConfig: expected a JSON object')\n")
 
+    @pytest.mark.parametrize("learn", [5, "ab", [["episodes", 50]]], ids=["int", "string", "list-of-pairs"])
+    def test_learn_section_that_is_no_object(self, tmp_path, capsys, learn):
+        """Refused as the road section is, with or without the overrides of --episodes and --v2v."""
+        config = tmp_path / "in" / "c.json"
+        config.parent.mkdir()
+        config.write_text(json.dumps({"learn": learn}))
+        out = tmp_path / "out"
+        out.mkdir()
+        for flags in ([], ["--episodes", 10, "--v2v"]):
+            capsys.readouterr()
+            assert run_cli("sim-train", "--config", config, *flags, "--metrics-out", out / "m.csv",
+                           "--qtable-out", out / "q.json") == 1
+            assert capsys.readouterr().err == (
+                f"cavlab: error: {config}: invalid configuration: ConfigError('LearnConfig: expected a JSON object')\n")
+            assert list(out.iterdir()) == []
+
     def test_hidden_0_refused_before_the_dataset_is_read(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"
         dataset.write_text("not json\n")
@@ -882,6 +898,22 @@ class TestRsuCli:
             out, _ = proc.communicate(timeout=10.0)
         assert proc.returncode == 0
         assert out.decode() == "served=1\n"
+
+    def test_fetch_out_writes_the_served_file(self, tmp_path, dataset):
+        """The policy travels packed; --out writes the artifact file back byte for byte, edge floats included."""
+        art = load_artifact(self.make_artifact(tmp_path, dataset))
+        art.params["wx"][0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        served = tmp_path / "served.json"
+        save_artifact(art, served)
+        server = RsuServer(RsuConfig(geofence=Geofence(0.0, 200.0, -10.0, 10.0)), load_artifact(served))
+        server.start()
+        try:
+            fetched = tmp_path / "fetched.json"
+            assert run_cli("rsu-fetch", "--endpoint", f"127.0.0.1:{server.port}", "--id", "car1",
+                           "--x", 50.0, "--y", 0.0, "--out", fetched) == 0
+        finally:
+            server.stop()
+        assert fetched.read_bytes() == served.read_bytes()
 
     def test_fetch_dead_endpoint_exit_1(self, tmp_path):
         code = run_cli("rsu-fetch", "--endpoint", "127.0.0.1:1", "--id", "x",

@@ -393,6 +393,13 @@ class TestClassify:
 class TestEncode:
     CFG = EncoderConfig(k=4, v_norm=30.0, d_norm=50.0)
 
+    @pytest.mark.parametrize("scale", [{"v_norm": math.inf}, {"d_norm": math.inf}, {"v_norm": math.nan},
+                                       {"d_norm": 0.0}], ids=["v-norm-inf", "d-norm-inf", "v-norm-nan", "d-norm-0"])
+    def test_scale_that_is_not_finite_and_positive_refused(self, scale):
+        """An infinite scale would encode every speed or distance as 0."""
+        with pytest.raises(ValueError, match="^invalid encoder configuration$"):
+            EncoderConfig(**scale)
+
     def test_no_neighbors_padding(self):
         t = traj([(0.0, 0.0, 15.0, 90.0)])
         sample = encode_features(t, self.CFG)

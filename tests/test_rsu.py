@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import gc
 import json
@@ -13,7 +14,13 @@ import numpy as np
 import pytest
 
 from cavlab import rnn
-from cavlab.imitation import ArtifactError, ChecksumMismatchError, EncoderConfig, PolicyArtifact
+from cavlab.imitation import (
+    ArtifactError,
+    ChecksumMismatchError,
+    EncoderConfig,
+    PolicyArtifact,
+    UnsupportedVersionError,
+)
 from cavlab.rsu import (
     Geofence,
     RsuConfig,
@@ -251,11 +258,11 @@ class TestServeFetch:
                 pass  # closed while the client was still sending
         assert fetch("127.0.0.1", server.port, "car1", 50.0, 5.0) is not None
 
-    def test_corrupted_payload_fails_checksum(self, artifact, artifact_doc):
-        bad = json.loads(json.dumps(artifact_doc))
-        bad["params"]["by"][0] += 1.0
+    def test_corrupted_payload_fails_checksum(self, artifact):
         srv = RsuServer(RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0)), artifact)
-        srv._payload = (json.dumps({"type": "policy", "artifact": bad}) + "\n").encode()  # corrupt, set after the server built it
+        line = srv._payload
+        at = line.index(b'"params": "') + len(b'"params": "') + 40  # a character inside the packed params
+        srv._payload = line[:at] + (b"B" if line[at:at + 1] == b"A" else b"A") + line[at + 1:]  # set after it is built
         srv.start()
         try:
             with pytest.raises(ChecksumMismatchError):
@@ -385,6 +392,150 @@ class TestServeFetch:
             assert srv.requests_served == 32
         finally:
             srv.stop()
+
+
+@pytest.fixture(scope="module")
+def wire_doc(artifact):
+    """The artifact document of the policy line a server of `artifact` sends."""
+    srv = RsuServer(RsuConfig(), artifact)
+    srv.stop()
+    return json.loads(srv._payload)["artifact"]
+
+
+def signed(doc: dict, raw: bytes = None) -> dict:
+    """`doc` with its params packed from `raw` when given, and its checksum recomputed by the packed rule: the CRC32
+    of the canonical JSON of format_version, model and encoder, chained with the raw param bytes."""
+    doc = dict(doc)
+    if raw is None:
+        raw = base64.b64decode(doc["params"])
+    else:
+        doc["params"] = base64.b64encode(raw).decode()
+    header = {key: doc[key] for key in ("format_version", "model", "encoder") if key in doc}
+    doc["checksum"] = zlib.crc32(raw, zlib.crc32(json.dumps(header, sort_keys=True, separators=(",", ":")).encode()))
+    return doc
+
+
+def fetch_doc(doc: dict):
+    """What fetch returns for a policy line that carries `doc`."""
+    with one_answer(json.dumps({"type": "policy", "artifact": doc}).encode() + b"\n") as port:
+        return fetch("127.0.0.1", port, "car1", 50.0, 5.0)
+
+
+class TestPackedWire:
+    def test_the_policy_line_is_packed(self, artifact, wire_doc):
+        assert sorted(wire_doc) == ["checksum", "encoder", "format_version", "model", "params"]
+        assert wire_doc["format_version"] == 2
+        raw = base64.b64decode(wire_doc["params"], validate=True)
+        assert raw == b"".join(artifact.params[n].astype("<f8").tobytes() for n in rnn.SeqModel.PARAM_NAMES)
+        assert signed(wire_doc)["checksum"] == wire_doc["checksum"]
+
+    def test_params_round_trip_bit_for_bit(self, artifact):
+        specials = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        params = {name: arr.copy() for name, arr in artifact.params.items()}
+        params["wx"][0, :4] = specials
+        params["by"][1] = -0.0
+        srv = RsuServer(RsuConfig(geofence=Geofence(0.0, 100.0, 0.0, 10.0)),
+                        PolicyArtifact(artifact.model_cfg, artifact.encoder, params))
+        srv.start()
+        try:
+            fetched = fetch("127.0.0.1", srv.port, "car1", 50.0, 5.0)
+        finally:
+            srv.stop()
+        assert fetched.params["wx"][0, :4].tolist() == specials
+        assert np.signbit(fetched.params["by"][1])
+        for name, arr in params.items():
+            assert fetched.params[name].dtype == np.float64 and fetched.params[name].shape == arr.shape
+            assert fetched.params[name].tobytes() == arr.tobytes()
+
+    def test_a_version_1_line_still_verifies(self, artifact):
+        """A server that sends the decimal document of an artifact file."""
+        fetched = fetch_doc(artifact.to_doc(1))
+        for name, arr in artifact.params.items():
+            assert fetched.params[name].tobytes() == arr.tobytes()
+
+    def test_flipped_base64_character_fails_checksum(self, wire_doc):
+        params = wire_doc["params"]
+        flipped = params[:10] + ("B" if params[10] == "A" else "A") + params[11:]
+        with pytest.raises(ChecksumMismatchError, match="^artifact checksum mismatch$"):
+            fetch_doc({**wire_doc, "params": flipped})
+
+    @pytest.mark.parametrize("params", ["not base64!", [0.5, 0.25]], ids=["text", "list"])
+    def test_params_that_are_no_base64_are_malformed(self, wire_doc, params):
+        with pytest.raises(ArtifactError, match="^malformed artifact payload: "):
+            fetch_doc({**wire_doc, "params": params})
+
+    def test_short_params_name_the_byte_count(self, wire_doc):
+        raw = base64.b64decode(wire_doc["params"])
+        message = f"^malformed artifact payload: params must be {len(raw)} bytes for the model's shapes, got "
+        with pytest.raises(ArtifactError, match=message + f"{len(raw) - 8}$"):
+            fetch_doc(signed(wire_doc, raw[:-8]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_packed_non_finite_param_refused(self, wire_doc, value):
+        values = np.frombuffer(base64.b64decode(wire_doc["params"]), dtype="<f8").copy()
+        values[7] = value
+        with pytest.raises(ArtifactError, match="^malformed artifact payload: params must be finite numbers$"):
+            fetch_doc(signed(wire_doc, values.tobytes()))
+
+    @pytest.mark.parametrize("version", [3, True, 2.0], ids=["3", "true", "float"])
+    def test_other_version_refused(self, wire_doc, version):
+        with pytest.raises(UnsupportedVersionError, match=f"^unsupported artifact version {version!r}$"):
+            fetch_doc(signed({**wire_doc, "format_version": version}))
+
+    def test_extra_key_refused(self, wire_doc):
+        """The checksum covers only the header and the params, so a key outside them is refused by name."""
+        with pytest.raises(ArtifactError, match=r"^malformed artifact payload: keys must be .*'note'"):
+            fetch_doc({**wire_doc, "note": "x"})
+
+
+def _swaps():
+    keys = ("format_version", "model", "encoder", "params", "checksum")
+    values = {"bool": True, "string": "x", "null": None, "list": [], "object": {}}
+    return [(f"{key}-{kind}", lambda doc, key=key, value=value: {**doc, key: value})
+            for key in keys for kind, value in values.items()]
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+# Each mutation maps the artifact document of a valid packed policy line to another; the list is fixed.
+MUTATIONS = _swaps() + [
+    ("version-huge", lambda doc: {**doc, "format_version": 10**400}),
+    ("version-2**64", lambda doc: {**doc, "format_version": 2**64 + 2}),
+    ("checksum-huge", lambda doc: {**doc, "checksum": 10**400}),
+    ("checksum-2**64", lambda doc: {**doc, "checksum": 2**64 + doc["checksum"]}),
+    ("checksum-negative", lambda doc: {**doc, "checksum": doc["checksum"] - 2**32}),
+    ("params-truncated-4", lambda doc: {**doc, "params": doc["params"][:-4]}),
+    ("params-truncated-1", lambda doc: {**doc, "params": doc["params"][:-1]}),
+    ("params-empty", lambda doc: {**doc, "params": ""}),
+    ("params-truncated-signed", lambda doc: signed(doc, base64.b64decode(doc["params"])[:-3])),
+    ("params-not-ascii", lambda doc: {**doc, "params": "\u00e9" + doc["params"][1:]}),
+    *[(f"drop-{key}", _drop(key)) for key in ("format_version", "model", "encoder", "params", "checksum")],
+    ("extra-key", lambda doc: {**doc, "extra": 1}),
+    ("extra-key-signed", lambda doc: signed({**doc, "extra": 1})),
+    ("model-key-dropped-signed", lambda doc: signed({**doc, "model": _drop("seed")(doc["model"])})),
+    ("model-key-extra-signed", lambda doc: signed({**doc, "model": {**doc["model"], "depth": 2}})),
+    ("model-list-signed", lambda doc: signed({**doc, "model": []})),
+    ("hidden-bool-signed", lambda doc: signed({**doc, "model": {**doc["model"], "hidden_dim": True}})),
+    ("hidden-huge-signed", lambda doc: signed({**doc, "model": {**doc["model"], "hidden_dim": 10**30}})),
+    ("encoder-string-signed", lambda doc: signed({**doc, "encoder": "x"})),
+    ("k-negative-signed", lambda doc: signed({**doc, "encoder": {**doc["encoder"], "k": -1}})),
+    ("checksum-nan", lambda doc: {**doc, "checksum": float("nan")}),
+    ("version-nan", lambda doc: {**doc, "format_version": float("nan")}),
+    ("v-norm-nan-signed", lambda doc: signed({**doc, "encoder": {**doc["encoder"], "v_norm": float("nan")}})),
+    ("v-norm-infinity-signed", lambda doc: signed({**doc, "encoder": {**doc["encoder"], "v_norm": float("inf")}})),
+    ("artifact-null", lambda doc: None),
+    ("artifact-list", lambda doc: [doc]),
+]
+
+
+@pytest.mark.parametrize("mutate", [m for _, m in MUTATIONS], ids=[name for name, _ in MUTATIONS])
+def test_mutated_policy_line_fails_as_rsu_or_artifact_error(wire_doc, mutate):
+    """A mutated policy line is refused with one of fetch's documented errors, never another exception.
+    json.dumps writes the NaN and Infinity tokens that Python's json.loads reads back."""
+    with pytest.raises((RsuError, ArtifactError)):
+        fetch_doc(mutate(json.loads(json.dumps(wire_doc))))
 
 
 SERVE_THEN_SIGNAL_A_HELPER_THREAD = """
