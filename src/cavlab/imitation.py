@@ -36,7 +36,7 @@ from xml.parsers import expat
 import numpy as np
 
 from . import rnn
-from .config import Config, ConfigError, check_types
+from .config import Config, ConfigError, check_types, finite_number
 from .rng import Rng
 
 
@@ -274,8 +274,8 @@ class EncoderConfig(Config):
     d_norm: float = 50.0  # m full scale
 
     def check(self):
-        # written to reject NaN scales too, which would make every feature NaN; an infinite one would make it 0
-        if self.k < 0 or not (0 < self.v_norm < math.inf and 0 < self.d_norm < math.inf):
+        # a NaN scale would make every feature NaN, an infinite one 0, and an int too large for a float raise
+        if self.k < 0 or not all(finite_number(scale) and scale > 0 for scale in (self.v_norm, self.d_norm)):
             raise ValueError("invalid encoder configuration")
 
     @property
@@ -392,7 +392,7 @@ def read_dataset(path) -> list[SequenceSample]:
 ARTIFACT_VERSION = 1  # files; the RSU serves WIRE_VERSION
 WIRE_VERSION = 2
 _HEADER_KEYS = ("format_version", "model", "encoder")
-_WIRE_KEYS = {*_HEADER_KEYS, "params", "checksum"}
+_DOC_KEYS = {*_HEADER_KEYS, "params", "checksum"}  # of both versions
 
 
 @dataclass
@@ -407,7 +407,7 @@ class PolicyArtifact:
             raise ValueError(f"model (input_dim, output_dim) must be {want} for its encoder, got {dims}")
 
     def build_model(self) -> rnn.SeqModel:
-        return rnn.SeqModel(self.model_cfg, *(self.params[n].copy() for n in rnn.SeqModel.PARAM_NAMES))
+        return rnn.SeqModel(self.model_cfg, *(self.params[n] for n in rnn.SeqModel.PARAM_NAMES))
 
     def to_doc(self, version: int = ARTIFACT_VERSION) -> dict:
         """The artifact document. Version 1 holds each param as a list of decimals, under the CRC32 of the canonical
@@ -426,36 +426,20 @@ def _canonical_crc(doc: dict) -> int:
     return zlib.crc32(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
 
-def _param_shapes(cfg: rnn.ModelConfig) -> dict[str, tuple[int, ...]]:
-    h, d, o = cfg.hidden_dim, cfg.input_dim, cfg.output_dim
-    return {"wx": (4 * h, d), "wh": (4 * h, h), "b": (4 * h,), "wy": (o, h), "by": (o,)}  # PARAM_NAMES order
-
-
-def _unpack_params(raw: bytes, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """The version-2 params: `raw` split into `shapes`; ValueError unless it is exactly their size, all finite."""
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    if len(raw) != 8 * sum(sizes):
-        raise ValueError(f"params must be {8 * sum(sizes)} bytes for the model's shapes, got {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if not np.isfinite(flat).all():
-        raise ValueError("params must be finite numbers")
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
-
-
 def artifact_from_doc(doc: dict) -> PolicyArtifact:
-    """Rebuild and checksum-verify an artifact document of either version (see PolicyArtifact.to_doc)."""
+    """Rebuild and checksum-verify an artifact document of either version (see PolicyArtifact.to_doc). Either takes
+    exactly the five keys of to_doc, and version-1 params exactly the names of rnn.param_shapes."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ArtifactError("not a policy artifact document")
     version, stored = doc["format_version"], doc.get("checksum")
     if type(version) is not int or version not in (ARTIFACT_VERSION, WIRE_VERSION):  # a bool is no int
         raise UnsupportedVersionError(f"unsupported artifact version {version!r}")
     try:
+        if doc.keys() != _DOC_KEYS:
+            raise ValueError(f"keys must be {sorted(_DOC_KEYS)}, got {sorted(doc)}")
         if version == ARTIFACT_VERSION:
             crc = _canonical_crc({k: v for k, v in doc.items() if k != "checksum"})
         else:
-            if doc.keys() != _WIRE_KEYS:
-                raise ValueError(f"keys must be {sorted(_WIRE_KEYS)}, got {sorted(doc)}")
             raw = base64.b64decode(doc["params"], validate=True)
             crc = zlib.crc32(raw, _canonical_crc({k: doc[k] for k in _HEADER_KEYS}))
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
@@ -465,12 +449,18 @@ def artifact_from_doc(doc: dict) -> PolicyArtifact:
     try:
         model_cfg = rnn.ModelConfig(**doc["model"])
         encoder = EncoderConfig(**doc["encoder"])
-        shapes = _param_shapes(model_cfg)
+        shapes = rnn.param_shapes(model_cfg)
         if version == ARTIFACT_VERSION:
-            params = {name: _finite_floats(doc["params"][name], f"param {name}").reshape(shape)
-                      for name, shape in shapes.items()}
+            lists = check_types(doc["params"], dict.fromkeys(shapes, list))  # exactly the names of the layout
+            params = {name: _finite_floats(lists[name], f"param {name}").reshape(shapes[name]) for name in shapes}
         else:
-            params = _unpack_params(raw, shapes)
+            size = 8 * sum(map(math.prod, shapes.values()))
+            if len(raw) != size:
+                raise ValueError(f"params must be {size} bytes for the model's shapes, got {len(raw)}")
+            flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+            if not np.isfinite(flat).all():
+                raise ValueError("params must be finite numbers")
+            params = rnn.param_views(model_cfg, flat)
         return PolicyArtifact(model_cfg, encoder, params)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"malformed artifact payload: {exc}") from exc
@@ -503,7 +493,7 @@ class TrainConfig(Config):
     seed: int = 0
 
     def check(self):
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        if not (finite_number(self.lr) and self.lr > 0):  # finite_number: also an int too large for a float
             raise ValueError(f"lr must be a finite value > 0, got {self.lr}")
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")

@@ -16,6 +16,10 @@ The loops over time in `forward` and `backward` hold only the recurrence.
 `forward` keeps the arithmetic of a plain per-step pass, bit for bit. `backward`
 tables the gate derivatives of every step up front, as one (T, 4, h) array, and
 sums each weight gradient over time in one gemm, equal to per-step sums to rounding.
+
+The parameters are one float64 vector, `SeqModel.flat`, of which wx, wh, b, wy and by
+are views laid out by `param_shapes`: a model copy is one array copy, and Adam keeps
+its moments in that layout and updates the whole vector in one elementwise pass.
 """
 
 from __future__ import annotations
@@ -48,40 +52,50 @@ class ModelConfig(Config):
             raise ValueError("all dimensions must be >= 1")
 
 
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter layout: each param's shape, in SeqModel.PARAM_NAMES order, their order in SeqModel.flat."""
+    h, d, o = cfg.hidden_dim, cfg.input_dim, cfg.output_dim
+    return {"wx": (4 * h, d), "wh": (4 * h, h), "b": (4 * h,), "wy": (o, h), "by": (o,)}
+
+
+def param_views(cfg: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """The params as views of `flat`, a vector of their total size, split and shaped by param_shapes."""
+    shapes = param_shapes(cfg)
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), np.split(flat, ends[:-1]))}
+
+
 class SeqModel:
-    """LSTM + linear head parameters. Arrays are float64 and owned."""
+    """LSTM + linear head parameters: one owned float64 vector `flat`, of which wx, wh, b, wy and by are views."""
 
     PARAM_NAMES = ("wx", "wh", "b", "wy", "by")
 
     def __init__(self, cfg: ModelConfig, wx, wh, b, wy, by):
+        """A model holding a copy of the five arrays; ValueError unless each has its param_shapes shape."""
+        arrays = [np.asarray(p, dtype=np.float64) for p in (wx, wh, b, wy, by)]
+        for name, array, shape in zip(self.PARAM_NAMES, arrays, param_shapes(cfg).values()):
+            if array.shape != shape:
+                raise ValueError(f"{name} must be {shape}, got {array.shape}")
         self.cfg = cfg
-        self.wx = wx  # (4h, d)
-        self.wh = wh  # (4h, h)
-        self.b = b    # (4h,)
-        self.wy = wy  # (o, h)
-        self.by = by  # (o,)
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.wx, self.wh, self.b, self.wy, self.by = param_views(cfg, self.flat).values()
 
     @classmethod
     def initialize(cls, cfg: ModelConfig) -> "SeqModel":
-        """Uniform(-k, k) weights with k = 1/sqrt(hidden); forget-gate bias +1."""
-        h, d, o = cfg.hidden_dim, cfg.input_dim, cfg.output_dim
-        rng = Rng(cfg.seed)
-        k = 1.0 / math.sqrt(h)
-
-        def mat(rows, cols):
-            return np.array(
-                [[rng.uniform(-k, k) for _ in range(cols)] for _ in range(rows)], dtype=np.float64
-            )
-
-        b = np.zeros(4 * h, dtype=np.float64)
-        b[h : 2 * h] = 1.0
-        return cls(cfg, mat(4 * h, d), mat(4 * h, h), b, mat(o, h), np.zeros(o, dtype=np.float64))
+        """Uniform(-k, k) weights with k = 1/sqrt(hidden), drawn row by row for wx, wh, wy; forget-gate bias +1."""
+        h = cfg.hidden_dim
+        rng, k = Rng(cfg.seed), 1.0 / math.sqrt(h)
+        model = cls(cfg, *map(np.zeros, param_shapes(cfg).values()))
+        for w in (model.wx, model.wh, model.wy):
+            w[...] = np.reshape([rng.uniform(-k, k) for _ in range(w.size)], w.shape)
+        model.b[h : 2 * h] = 1.0
+        return model
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAM_NAMES}
 
     def copy(self) -> "SeqModel":
-        return SeqModel(self.cfg, *(getattr(self, n).copy() for n in self.PARAM_NAMES))
+        return SeqModel(self.cfg, *self.params().values())
 
 
 def _sigmoid(x):
@@ -168,36 +182,28 @@ def backward(model: SeqModel, cache: ForwardCache, target: np.ndarray) -> dict[s
 @dataclass
 class AdamState:
     lr: float
+    m: np.ndarray  # first and second moments, laid out as SeqModel.flat
+    v: np.ndarray
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_model(cls, model: SeqModel, lr: float) -> "AdamState":
-        state = cls(lr=lr)
-        for name, p in model.params().items():
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        return state
+        return cls(lr, np.zeros_like(model.flat), np.zeros_like(model.flat))
 
 
 def adam_step(model: SeqModel, grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update of all of model.flat, with bias correction; a non-finite gradient raises first."""
+    g = np.concatenate([grads[name].ravel() for name in model.PARAM_NAMES])
+    if not np.isfinite(g).all():
+        name = next(name for name in model.PARAM_NAMES if not np.isfinite(grads[name]).all())
+        raise TrainingError(f"non-finite gradient for {name}")
     state.step += 1
-    t = state.step
-    c1 = 1.0 - BETA1**t
-    c2 = 1.0 - BETA2**t
-    for name, p in model.params().items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+    c1, c2 = 1.0 - BETA1**state.step, 1.0 - BETA2**state.step
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * g
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * (g * g)
+    model.flat -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + EPS)
 
 
 @dataclass

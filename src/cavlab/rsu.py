@@ -11,14 +11,12 @@ and receives exactly one of
     {"type": "none", "reason": "outside_geofence"}
     {"type": "error", "code": "bad_request", "detail": "..."}
 
-The policy's artifact is the version-2 document of `imitation.PolicyArtifact.to_doc`:
+The policy's artifact is the version-2 document of `imitation.PolicyArtifact.to_doc`, its
+params packed as one base64 run of float64 in the layout `rnn.param_shapes` states:
 
     {"format_version": 2, "model": {...}, "encoder": {...}, "params": "<base64>", "checksum": 123}
 
-`params` is one base64 run of little-endian float64, the params in `rnn.SeqModel.PARAM_NAMES`
-order, and `checksum` the CRC32 of the canonical JSON (sorted keys, no spaces) of
-`format_version`, `model` and `encoder`, chained with those raw bytes. `fetch` also
-verifies a version-1 document, the decimal one an artifact file holds.
+`fetch` also verifies a version-1 document, the decimal one an artifact file holds.
 
 The server is handed the loaded `PolicyArtifact`, builds its document once and serves
 it byte-identical across requests; `RsuServer` is a `socketserver.ThreadingTCPServer`.

@@ -37,12 +37,11 @@ constants of one RoadConfig.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
-from .config import Config, ConfigError
+from .config import Config, ConfigError, finite_number
 from .rng import Rng
 
 
@@ -64,6 +63,7 @@ class Event(IntEnum):
 
 
 N_ACTIONS = 9  # index dir * 3 + spd: 0 = (Left, Dec) ... 8 = (Right, Inc)
+MAX_ROAD_SIZE = 10_000  # ceiling of length, scan_range and max_agent_speed: bitboard cells, reward table rows
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,9 @@ class RoadConfig(Config):
     agent_speed_limit: Optional[tuple[int, ...]] = None  # None: max_agent_speed per lane
 
     def check(self):
+        for name in ("length", "scan_range", "max_agent_speed"):
+            if getattr(self, name) > MAX_ROAD_SIZE:
+                raise ConfigError(f"{name} must be <= {MAX_ROAD_SIZE}")
         if self.agent_speed_limit is None:
             object.__setattr__(self, "agent_speed_limit", (self.max_agent_speed,) * self.lanes)
         if self.length < 2:
@@ -114,7 +117,7 @@ class RewardConfig(Config):
 
     def check(self):
         for name, value in vars(self).items():
-            if not math.isfinite(value):
+            if not finite_number(value):  # also an int too large for a float
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.speed_bonus_divisor == 0:
             raise ConfigError("speed_bonus_divisor must not be 0")

@@ -1,17 +1,22 @@
-"""Reference LSTM passes: the per-step `forward`/`backward` that cavlab.rnn vectorised.
+"""Reference LSTM passes: the per-step `forward`/`backward` that cavlab.rnn vectorised,
+and the per-param Adam update that cavlab.rnn runs over one vector.
 
 Every operation runs inside the loop over time, one step at a time.
 `cavlab.rnn.forward` must reproduce this forward's outputs and caches bit for
 bit. `cavlab.rnn.backward` sums each weight gradient over time in one gemm, so
 its gradients need only equal these per-step sums to rounding: within 1e-13 of
-the largest reference entry of each gradient.
+the largest reference entry of each gradient. `cavlab.rnn.adam_step` must move
+every param and moment to the bits of this `adam_step`, which updates one param
+at a time with its own moment arrays.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from cavlab.rnn import ForwardCache, SeqModel
+from cavlab.rnn import BETA1, BETA2, EPS, ForwardCache, SeqModel, TrainingError
 
 
 def _sigmoid(x):
@@ -84,3 +89,38 @@ def backward(model: SeqModel, cache: ForwardCache, target: np.ndarray) -> dict[s
         dh_next = model.wh.T @ dz
         dc_next = dc * f
     return {"wx": g_wx, "wh": g_wh, "b": g_b, "wy": g_wy, "by": g_by}
+
+
+@dataclass
+class AdamState:
+    lr: float
+    step: int = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def for_model(cls, model: SeqModel, lr: float) -> "AdamState":
+        state = cls(lr=lr)
+        for name, p in model.params().items():
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        return state
+
+
+def adam_step(model: SeqModel, grads: dict[str, np.ndarray], state: AdamState) -> None:
+    """One in-place Adam update with bias correction, param by param."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
+    for name, p in model.params().items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient for {name}")
+        m = state.m[name]
+        v = state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)

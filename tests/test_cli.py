@@ -20,6 +20,7 @@ from cavlab.rsu import Geofence, RsuConfig, RsuServer
 from cavlab.rng import Rng
 from cavlab.world import (
     AGENT_START,
+    MAX_ROAD_SIZE,
     Dir,
     Event,
     Road,
@@ -488,6 +489,7 @@ class TestReplay:
         ("imitate-train", "seed", "1"),
         ("imitate-train", "split", "0.8"),
         ("imitate-train", "lr", None),
+        ("imitate-train", "lr", 10**400),
         ("ingest", "ego", 5),
         ("ingest", "filter.zone_x_min", "0"),
         ("ingest", "filter.zone_x_min", 2500.0),
@@ -497,8 +499,8 @@ class TestReplay:
         ("ingest", "encoder.k", 2.5),
         ("ingest", "encoder.k", True),
     ], ids=["sim-eval-runs", "sim-eval-seed", "sim-eval-runs-neg", "epochs", "epochs-neg", "hidden", "hidden-0",
-            "patience", "patience-neg", "imitate-train-seed", "split", "lr", "ego", "zone-x-min-str", "zone-empty",
-            "zone-x-min-nan", "zone-lane-prefix-int", "t-min-float", "k-float", "k-bool"])
+            "patience", "patience-neg", "imitate-train-seed", "split", "lr", "lr-huge", "ego", "zone-x-min-str",
+            "zone-empty", "zone-x-min-nan", "zone-lane-prefix-int", "t-min-float", "k-float", "k-bool"])
     def test_wrong_setting_type_exit_1(self, tmp_path, recorded, capsys, sub, key, value):
         name = self.set_setting(tmp_path, sub, key, value)
         capsys.readouterr()
@@ -595,6 +597,7 @@ def workspace(tmp_path_factory):
                       ("reward-str", {"reward": {"alive_or_goal": "x"}}),
                       ("reward-nan", {"reward": {"crash_or_bump": float("nan")}}),
                       ("reward-div-0", {"reward": {"speed_bonus_divisor": 0}}),
+                      ("reward-huge", {"reward": {"alive_or_goal": 10**400}}),
                       ("learn-episodes-float", {"learn": {"episodes": 3.5}}),
                       ("learn-v2v-str", {"learn": {"v2v": "no"}}),
                       ("learn-bucket-float", {"learn": {"bucket": 2.5}}),
@@ -648,6 +651,7 @@ class TestBadInput:
         SIM + ["--config", "{root}/reward-str.json"],
         SIM + ["--config", "{root}/reward-nan.json"],
         SIM + ["--config", "{root}/reward-div-0.json"],
+        SIM + ["--config", "{root}/reward-huge.json"],
         ["imitate-eval", "--artifact", "{root}/missing.json", "--dataset", "{root}/data.jsonl",
          "--csv-out", "{out}/e.csv"],
         FETCH + ["--out", "{out}/nodir/fetched.json"],
@@ -673,7 +677,7 @@ class TestBadInput:
             "hidden-0", "lr-neg", "lr-nan", "split-1.5",
             "patience-neg", "artifact-out-no-dir", "config-road-int", "config-road-str", "config-learn-key", "seeds-not-int",
             "config-road-float", "config-road-steps-float", "config-road-lane-bool", "config-reward-str",
-            "config-reward-nan", "config-reward-div-0", "artifact-missing", "fetch-out-no-dir",
+            "config-reward-nan", "config-reward-div-0", "config-reward-huge", "artifact-missing", "fetch-out-no-dir",
             "eval-targets-short", "eval-feature-null", "eval-param-null", "fetch-port-superscript",
             "config-learn-episodes-float", "config-learn-v2v-str", "config-learn-bucket-float",
             "config-learn-alpha-bool", "config-learn-decay-float", "config-unknown-section",
@@ -782,6 +786,22 @@ class TestBadInput:
                        "--qtable-out", tmp_path / "q.json") == 1
         assert capsys.readouterr().err == (
             f"cavlab: error: {config}: invalid configuration: ConfigError('RoadConfig: expected a JSON object')\n")
+
+    @pytest.mark.parametrize("name", ["length", "scan_range", "max_agent_speed"])
+    def test_road_size_above_the_ceiling(self, tmp_path, capsys, name):
+        """A 400-digit road size is refused by name before any bitboard is built."""
+        config = tmp_path / "in" / "c.json"
+        config.parent.mkdir()
+        config.write_text(json.dumps({"road": {name: 10**400}}))
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in (["sim-eval", "--qtable", tmp_path / "in" / "q.json", "--trace-out", out / "t.csv"],
+                     ["sim-train", "--episodes", 10, "--metrics-out", out / "m.csv", "--qtable-out", out / "q.json"]):
+            capsys.readouterr()
+            assert run_cli(*argv, "--config", config) == 1
+            assert capsys.readouterr().err == (
+                f"cavlab: error: {config}: invalid configuration: ConfigError('{name} must be <= {MAX_ROAD_SIZE}')\n")
+            assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("learn", [5, "ab", [["episodes", 50]]], ids=["int", "string", "list-of-pairs"])
     def test_learn_section_that_is_no_object(self, tmp_path, capsys, learn):

@@ -394,9 +394,11 @@ class TestEncode:
     CFG = EncoderConfig(k=4, v_norm=30.0, d_norm=50.0)
 
     @pytest.mark.parametrize("scale", [{"v_norm": math.inf}, {"d_norm": math.inf}, {"v_norm": math.nan},
-                                       {"d_norm": 0.0}], ids=["v-norm-inf", "d-norm-inf", "v-norm-nan", "d-norm-0"])
+                                       {"d_norm": 0.0}, {"v_norm": 10**400}, {"d_norm": 10**400}],
+                             ids=["v-norm-inf", "d-norm-inf", "v-norm-nan", "d-norm-0", "v-norm-huge", "d-norm-huge"])
     def test_scale_that_is_not_finite_and_positive_refused(self, scale):
-        """An infinite scale would encode every speed or distance as 0."""
+        """An infinite scale would encode every speed or distance as 0; an int too large for a float would raise
+        OverflowError in encode_features."""
         with pytest.raises(ValueError, match="^invalid encoder configuration$"):
             EncoderConfig(**scale)
 
@@ -716,6 +718,25 @@ class TestArtifactIO:
         params = rnn.SeqModel.initialize(cfg).params()
         doc = {"format_version": 1, "model": asdict(cfg), "encoder": asdict(EncoderConfig()),
                "params": {name: arr.ravel().tolist() for name, arr in params.items()}}
+        with pytest.raises(ArtifactError, match=f"^malformed artifact payload: {message}$"):
+            artifact_from_doc(with_checksum(doc))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(note="x"),
+         r"keys must be \['checksum', 'encoder', 'format_version', 'model', 'params'\], got \['checksum', 'encoder', "
+         r"'format_version', 'model', 'note', 'params'\]"),
+        (lambda doc: doc.pop("model"),
+         r"keys must be \['checksum', 'encoder', 'format_version', 'model', 'params'\], got \['checksum', 'encoder', "
+         r"'format_version', 'params'\]"),
+        (lambda doc: doc["params"].update(extra=[1.0]), r"unknown keys: \['extra'\]"),
+        (lambda doc: doc["params"].pop("wx"), "'wx'"),
+        (lambda doc: doc.update(params=[]), "expected a JSON object"),
+    ], ids=["extra-key", "dropped-key", "extra-param", "dropped-param", "params-list"])
+    def test_version_1_keys_are_exactly_those_of_the_format(self, edit, message):
+        """Under a matching checksum too: version 1 takes the five keys of version 2, and params named as in rnn,
+        read by the key rule of the dataset and the configs."""
+        doc = self.make_artifact().to_doc()
+        edit(doc)
         with pytest.raises(ArtifactError, match=f"^malformed artifact payload: {message}$"):
             artifact_from_doc(with_checksum(doc))
 

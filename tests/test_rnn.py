@@ -5,8 +5,8 @@ import pytest
 
 import rnn_reference
 from cavlab import rnn
-from cavlab.imitation import (EncoderConfig, TrainConfig, encode_features, extract_ego_sequences, parse_fcd,
-                              train_policy)
+from cavlab.imitation import (EncoderConfig, PolicyArtifact, TrainConfig, encode_features, extract_ego_sequences,
+                              parse_fcd, train_policy)
 from cavlab.rnn import (
     AdamState,
     ForwardCache,
@@ -113,6 +113,44 @@ class TestInit:
         count = 4 * h * (d + h + 1) + o * (h + 1)
         assert count == sum(p.size for p in m.params().values())
         assert count == 4 * 32 * (9 + 32 + 1) + 2 * (32 + 1)
+
+
+class TestLayout:
+    def model(self):
+        return SeqModel.initialize(ModelConfig(input_dim=5, output_dim=2, hidden_dim=7, seed=1))
+
+    def test_params_are_views_of_flat_in_param_shapes_order(self):
+        model = self.model()
+        assert tuple(rnn.param_shapes(model.cfg)) == SeqModel.PARAM_NAMES
+        assert model.flat.dtype == np.float64 and model.flat.ndim == 1
+        start = 0
+        for (name, p), shape in zip(model.params().items(), rnn.param_shapes(model.cfg).values()):
+            assert p.shape == shape and np.shares_memory(p, model.flat), name
+            assert p.tobytes() == model.flat[start:start + p.size].tobytes(), name
+            start += p.size
+        assert start == model.flat.size
+
+    def test_constructor_copies_and_checks_shapes(self):
+        model = self.model()
+        arrays = [p.copy() for p in model.params().values()]
+        built = SeqModel(model.cfg, *arrays)
+        assert built.flat.tobytes() == model.flat.tobytes()
+        assert not any(np.shares_memory(built.flat, a) for a in arrays)
+        with pytest.raises(ValueError, match=r"^wh must be \(28, 7\), got \(7, 28\)$"):
+            SeqModel(model.cfg, arrays[0], arrays[1].T, *arrays[2:])
+
+    def test_copy_and_build_model_do_not_share_memory(self):
+        model = self.model()
+        clone = model.copy()
+        artifact = PolicyArtifact(model.cfg, EncoderConfig(k=2), model.params())
+        built = artifact.build_model()
+        for other in (clone, built):
+            assert other.flat.tobytes() == model.flat.tobytes()
+            assert not np.shares_memory(other.flat, model.flat)
+        assert not any(np.shares_memory(built.flat, p) for p in artifact.params.values())
+        clone.flat += 1.0
+        built.flat += 1.0
+        assert model.flat.tobytes() == SeqModel.initialize(model.cfg).flat.tobytes()
 
 
 class TestMseLoss:
@@ -312,6 +350,39 @@ class TestAdam:
         grads["wy"] = np.array([[math.nan]])
         with pytest.raises(TrainingError):
             adam_step(model, grads, state)
+
+    def test_nan_in_wy_gradient_leaves_model_and_state_unchanged(self):
+        """The check covers every gradient before anything moves, so wx, wh and b, ahead of wy, stay put too."""
+        model = SeqModel.initialize(ModelConfig(input_dim=3, output_dim=2, hidden_dim=4, seed=2))
+        state = AdamState.for_model(model, lr=1e-2)
+        rng = np.random.default_rng(3)
+        adam_step(model, {n: rng.normal(size=p.shape) for n, p in model.params().items()}, state)
+        before = (model.flat.copy(), state.m.copy(), state.v.copy(), state.step)
+        grads = {n: rng.normal(size=p.shape) for n, p in model.params().items()}
+        grads["wy"][1, 2] = math.nan
+        with pytest.raises(TrainingError, match="^non-finite gradient for wy$"):
+            adam_step(model, grads, state)
+        assert model.flat.tobytes() == before[0].tobytes()
+        assert (state.m.tobytes(), state.v.tobytes(), state.step) == (before[1].tobytes(), before[2].tobytes(), 1)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 2, 5), (9, 2, 32), (4, 3, 7), (2, 5, 3)],
+                             ids=lambda dims: "d{}-o{}-h{}".format(*dims))
+    def test_matches_per_param_reference_bit_for_bit(self, dims):
+        """One update of the whole vector moves each param and moment to the bits of the per-param update."""
+        d, o, h = dims
+        cfg = ModelConfig(input_dim=d, output_dim=o, hidden_dim=h, seed=h)
+        model, ref = SeqModel.initialize(cfg), SeqModel.initialize(cfg)
+        state, ref_state = AdamState.for_model(model, lr=1e-2), rnn_reference.AdamState.for_model(ref, lr=1e-2)
+        rng = np.random.default_rng(h)
+        for _ in range(20):
+            grads = {n: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape) for n, p in model.params().items()}
+            adam_step(model, grads, state)
+            rnn_reference.adam_step(ref, {n: g.copy() for n, g in grads.items()}, ref_state)
+        assert state.step == ref_state.step == 20
+        for name in SeqModel.PARAM_NAMES:
+            assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+        for got, want in ((state.m, ref_state.m), (state.v, ref_state.v)):
+            assert got.tobytes() == b"".join(want[n].tobytes() for n in SeqModel.PARAM_NAMES)
 
     def test_two_runs_bit_identical(self):
         def run():

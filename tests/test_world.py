@@ -7,6 +7,7 @@ from cavlab.world import (
     BUMP,
     CRASH,
     GOAL,
+    MAX_ROAD_SIZE,
     N_ACTIONS,
     ConfigError,
     Dir,
@@ -87,6 +88,13 @@ class TestRoadConfig:
             RoadConfig(lane_speed_limit=(1, 5))
         with pytest.raises(ConfigError):
             RoadConfig(scan_range=0)
+
+    @pytest.mark.parametrize("name", ["length", "scan_range", "max_agent_speed"])
+    @pytest.mark.parametrize("value", [MAX_ROAD_SIZE + 1, 10**400], ids=["ceiling+1", "10**400"])
+    def test_rejects_sizes_above_the_ceiling(self, name, value):
+        """Refused before any bitboard or reward table is built; the values of the other tests stay far below it."""
+        with pytest.raises(ConfigError, match=f"^{name} must be <= {MAX_ROAD_SIZE}$"):
+            RoadConfig(**{name: value})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown"):
